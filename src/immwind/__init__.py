@@ -5,7 +5,7 @@ combined and mixed through a Markov mode chain, benchmarked against a
 single nominal-model EKF on a synthetic closed-loop turbine plant.
 """
 
-from .config import ExperimentConfig, format_config, load_config, parse_config, save_config
+from .config import ExperimentConfig, format_config, load_config, parse_config
 from .cp import AnalyticCpSurface, CpSurface, GridCpSurface, default_grid_surface
 from .ekf import EstimatorState, NoiseModel, UpdateReport, predict, update
 from .errors import ConfigError, DomainError, NumericalError

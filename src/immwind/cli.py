@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .config import load_config, with_overrides
+from .config import load_config
 from .errors import ConfigError, NumericalError
 from .harness import run_experiment, write_outputs
 
@@ -69,7 +70,7 @@ def _apply_overrides(config, args):
         overrides["schedule"] = args.schedule
     if args.delta_cp is not None:
         overrides["delta_cp"] = args.delta_cp
-    return with_overrides(config, **overrides) if overrides else config
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _run_one(config) -> int:
@@ -113,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 0
         base_out = Path(config.out_dir)
         for delta in deltas:
-            sub_cfg = with_overrides(
+            sub_cfg = dataclasses.replace(
                 config,
                 delta_cp=delta,
                 out_dir=str(base_out / f"delta_cp_{delta:g}"),

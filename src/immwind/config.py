@@ -7,7 +7,7 @@ written config echo always round-trips to the identical experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -281,12 +281,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(format_config(config), encoding="utf-8")
-
-
-def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Functional update used by the CLI flags."""
-    return replace(config, **overrides)

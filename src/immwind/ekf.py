@@ -9,6 +9,7 @@ models used in tests.  Filter state is a value: ``predict`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,26 +67,49 @@ class UpdateReport:
     gain: np.ndarray
 
 
-def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
-
-
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _eye(n: int) -> np.ndarray:
-    eye = _EYE_CACHE.get(n)
-    if eye is None:
-        eye = _EYE_CACHE[n] = np.eye(n)
+@functools.cache  # np.eye(n) costs about as much as a small update's matrix products
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
     return eye
+
+
+def propagate(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Predicted covariance F P F' + Q, symmetrised; leading axes batch filters."""
+    P = F @ P @ F.mT + Q
+    return 0.5 * (P + P.mT)
+
+
+def correct(
+    x: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correction by residual z; returns (x, P, S, gain); leading axes batch filters.
+
+    Raises NumericalError when an innovation covariance S is not positive definite.
+    """
+    S = H @ P @ H.mT + R
+    if S.shape[-1] == 1:
+        for s in S.ravel().tolist():
+            if not s > 0.0:
+                raise NumericalError(f"innovation covariance S={s} is not positive")
+        L = (P @ H.mT) / S
+        x = x + L[..., 0] * z
+    else:
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"innovation covariance is not positive definite: S={S}") from exc
+        L = P @ H.mT @ np.linalg.inv(S)
+        x = x + (L @ z[..., None])[..., 0]
+    P = (_identity(x.shape[-1]) - L @ H) @ P
+    return x, 0.5 * (P + P.mT), S, L
 
 
 def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorState:
     """Time update: propagate the estimate through f and grow P."""
     F = model.jac_f(state.x, u)
     x = np.asarray(model.f(state.x, u), dtype=float).reshape(-1)
-    P = _symmetrize(F @ state.P @ F.T + noise.Q)
-    return EstimatorState(x, P)
+    return EstimatorState(x, propagate(F, state.P, noise.Q))
 
 
 def update(
@@ -95,19 +119,5 @@ def update(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     H = model.jac_h(state.x, u)
     z = y - np.asarray(model.h(state.x, u), dtype=float).reshape(-1)
-    P = state.P
-    S = H @ P @ H.T + noise.R
-    if S.shape == (1, 1):
-        s = float(S[0, 0])
-        if not s > 0.0:
-            raise NumericalError(f"innovation covariance S={s} is not positive")
-        L = (P @ H.T) / s
-    else:
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance is not positive definite: S={S}") from exc
-        L = P @ H.T @ np.linalg.inv(S)
-    x = state.x + L @ z
-    P_new = _symmetrize((_eye(state.x.size) - L @ H) @ P)
-    return EstimatorState(x, P_new), UpdateReport(z, S, L)
+    x, P, S, L = correct(state.x, state.P, z, H, noise.R)
+    return EstimatorState(x, P), UpdateReport(z, S, L)

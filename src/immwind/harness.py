@@ -23,6 +23,7 @@ from .errors import NumericalError
 from .plant import (
     PlantTrajectory,
     TrueCpSchedule,
+    first_order_filter,
     generate_cp_schedule,
     simulate_plant,
 )
@@ -37,12 +38,7 @@ def low_pass(series: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     if not cutoff_hz * dt < 0.5:
         raise ValueError(f"cutoff*dt must be < 0.5, got {cutoff_hz * dt}")
     x = np.asarray(series, dtype=float)
-    a = math.exp(-2.0 * math.pi * cutoff_hz * dt)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for k in range(1, x.size):
-        out[k] = a * out[k - 1] + (1.0 - a) * x[k]
-    return out
+    return first_order_filter(x, math.exp(-2.0 * math.pi * cutoff_hz * dt), x[0])
 
 
 def wind_error_series(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
@@ -174,19 +170,8 @@ def _hist_counts(err: np.ndarray, settle_idx: int, edges: np.ndarray) -> np.ndar
     return counts
 
 
-@dataclass(frozen=True)
-class _RawRun:
-    seed: int
-    trajectory: PlantTrajectory
-    schedule: TrueCpSchedule
-    v_imm: np.ndarray
-    cp_imm: np.ndarray
-    mu: np.ndarray
-    v_kf: np.ndarray
-    cp_kf: np.ndarray
-
-
-def _run_estimators(config: ExperimentConfig, seed: int) -> _RawRun:
+def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
+    """One seed's plant run and estimates, keyed by their ``SeedRun`` fields."""
     params = config.turbine_params()
     cp0 = config.surface()
     preset = config.preset(seed)
@@ -231,7 +216,10 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> _RawRun:
         mu[k] = out.mu
         v_kf[k] = kf_state.x[1]
         cp_kf[k] = _nominal_cp(nominal, kf_state.x, u_prev.pitch)
-    return _RawRun(seed, traj, schedule, v_imm, cp_imm, mu, v_kf, cp_kf)
+    return dict(
+        seed=seed, trajectory=traj, schedule=schedule,
+        v_imm=v_imm, cp_imm=cp_imm, mu=mu, v_kf=v_kf, cp_kf=cp_kf,
+    )
 
 
 def _nominal_cp(model: TurbineModel, x: np.ndarray, pitch: float) -> float:
@@ -248,7 +236,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     config.validate()
     settle_idx = int(round(config.settle_s / config.dt))
-    raws: list[_RawRun] = []
+    raws: list[dict] = []
     failed: list[tuple[int, str]] = []
     for seed in sorted(config.seeds):
         try:
@@ -263,10 +251,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scored_pool: list[np.ndarray] = []
     errors: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for raw in raws:
-        we_imm = wind_error_series(raw.v_imm, raw.trajectory.v_rews)
-        we_kf = wind_error_series(raw.v_kf, raw.trajectory.v_rews)
-        ce_imm = cp_error_series(raw.cp_imm, raw.trajectory.cp_true, config.dt)
-        ce_kf = cp_error_series(raw.cp_kf, raw.trajectory.cp_true, config.dt)
+        we_imm = wind_error_series(raw["v_imm"], raw["trajectory"].v_rews)
+        we_kf = wind_error_series(raw["v_kf"], raw["trajectory"].v_rews)
+        ce_imm = cp_error_series(raw["cp_imm"], raw["trajectory"].cp_true, config.dt)
+        ce_kf = cp_error_series(raw["cp_kf"], raw["trajectory"].cp_true, config.dt)
         errors.append((we_imm, we_kf, ce_imm, ce_kf))
         for err in (we_imm, we_kf):
             tail = err[settle_idx:]
@@ -278,7 +266,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs: list[SeedRun] = []
     for raw, (we_imm, we_kf, ce_imm, ce_kf) in zip(raws, errors):
         metrics = RunMetrics(
-            seed=raw.seed,
+            seed=raw["seed"],
             imm=EstimatorMetrics(
                 wind=_score(we_imm, settle_idx),
                 cp=_score(ce_imm, settle_idx),
@@ -293,14 +281,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         runs.append(
             SeedRun(
-                seed=raw.seed,
-                trajectory=raw.trajectory,
-                schedule=raw.schedule,
-                v_imm=raw.v_imm,
-                cp_imm=raw.cp_imm,
-                mu=raw.mu,
-                v_kf=raw.v_kf,
-                cp_kf=raw.cp_kf,
+                **raw,
                 wind_err_imm=we_imm,
                 wind_err_kf=we_kf,
                 cp_err_imm=ce_imm,

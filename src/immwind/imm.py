@@ -12,7 +12,7 @@ mode probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +24,46 @@ from .turbine import OMEGA_FLOOR, V_FLOOR, TurbineModel, TurbineParameters
 MU_FLOOR = 1e-12  # keeps every mode alive and mixing denominators positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
 
-    ``mu`` holds the prior mode probabilities for the next measurement;
-    ``offsets`` records each mode's Cp offset for reporting.
-    ``underflow_count`` counts cycles whose likelihoods all underflowed
-    to zero (the probabilities are then carried through unchanged).
+    The filters' states are stored stacked: ``x`` is (m, n) and ``P``
+    is (m, n, n), row j being filter j.  ``mu`` holds the prior mode
+    probabilities for the next measurement; ``offsets`` records each
+    mode's Cp offset for reporting.  ``underflow_count`` counts cycles
+    whose likelihoods all underflowed to zero (the probabilities are
+    then carried through unchanged).
     """
 
     models: tuple
-    states: tuple[ekf.EstimatorState, ...]
+    x: np.ndarray
+    P: np.ndarray
     mu: np.ndarray
     transition: np.ndarray
     noise: ekf.NoiseModel
     offsets: tuple[float, ...] = ()
     underflow_count: int = 0
 
+    def __init__(self, models, states, mu, transition, noise, offsets=(), underflow_count=0):
+        x, P = _stacked(states)
+        vars(self).update(
+            models=tuple(models),
+            x=x,
+            P=P,
+            mu=np.array(mu, dtype=float).reshape(-1),
+            transition=np.array(transition, dtype=float),
+            noise=noise,
+            offsets=offsets,
+            underflow_count=underflow_count,
+        )
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float).reshape(-1)
-        pi = np.array(self.transition, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "transition", pi)
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "models", tuple(self.models))
+        """Validate a caller-built bank; ``imm_step`` derives the next one unchecked."""
+        mu, pi = self.mu, self.transition
         m = len(self.models)
-        if m == 0 or len(self.states) != m or mu.size != m:
+        if m == 0 or len(self.x) != m or mu.size != m:
             raise ValueError("models, states and mu must have matching length >= 1")
         if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mode probabilities must lie on the simplex, got {mu}")
@@ -58,6 +71,19 @@ class ModeBank:
             raise ValueError("transition matrix must be m x m with nonnegative entries")
         if np.any(np.abs(pi.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError(f"every transition-matrix row must sum to 1, got {pi}")
+
+    @property
+    def states(self) -> tuple[ekf.EstimatorState, ...]:
+        """Per-filter view of the stacked state, built on each access."""
+        return tuple(map(ekf.EstimatorState, self.x, self.P))
+
+    def _advanced(self, x, P, mu, underflowed: bool) -> ModeBank:
+        """The next cycle's bank, derived from this validated one."""
+        new = object.__new__(ModeBank)
+        vars(new).update(
+            vars(self), x=x, P=P, mu=mu, underflow_count=self.underflow_count + int(underflowed)
+        )
+        return new
 
 
 @dataclass(frozen=True)
@@ -71,12 +97,7 @@ class ImmOutput:
 
 
 def likelihood(z, S) -> float:
-    """Gaussian residual likelihood (2 pi det S)^(-1/2) exp(-z' S^-1 z / 2).
-
-    The normalisation is written for a single measurement channel; the
-    general n-dimensional constant would be (2 pi)^(n/2) det(S)^(1/2),
-    which collapses to this form at n = 1.
-    """
+    """Gaussian residual likelihood ((2 pi)^n det S)^(-1/2) exp(-z' S^-1 z / 2)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
     if z.size == 1:
@@ -88,7 +109,7 @@ def likelihood(z, S) -> float:
     if not det > 0.0:
         raise NumericalError(f"innovation covariance has det={det}")
     quad = float(z @ np.linalg.solve(S, z))
-    return math.exp(-0.5 * quad) / math.sqrt(2.0 * math.pi * det)
+    return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** z.size * det)
 
 
 def update_mode_probs(mu: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
@@ -108,23 +129,28 @@ def update_mode_probs(mu: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
     return post / post.sum()
 
 
-def _combine_arrays(
-    xs: np.ndarray, Ps: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    x = mu @ xs
-    d = x[None, :] - xs
-    P = np.einsum("i,ijk->jk", mu, Ps) + np.einsum("i,ij,ik->jk", mu, d, d)
-    return x, 0.5 * (P + P.T)
+def _stacked(states) -> tuple[np.ndarray, np.ndarray]:
+    """Per-filter states as stacked arrays x (m, n) and P (m, n, n)."""
+    states = tuple(states)
+    return np.array([s.x for s in states]), np.array([s.P for s in states])
+
+
+def _mix_arrays(xs: np.ndarray, Ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xm = w.T @ xs  # (m, n), row j = mixed state of filter j
+    d = xm[None, :, :] - xs[:, None, :]  # d[i, j] = x_mixed_j - x_i
+    Pm = np.einsum("ij,ikl->jkl", w, Ps) + np.einsum("ij,ijk,ijl->jkl", w, d, d)
+    return xm, 0.5 * (Pm + Pm.transpose(0, 2, 1))
 
 
 def combine(
     states: tuple[ekf.EstimatorState, ...] | list[ekf.EstimatorState], mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probability-weighted mean and spread-corrected covariance."""
-    mu = np.asarray(mu, dtype=float)
-    xs = np.stack([s.x for s in states])  # (m, n)
-    Ps = np.stack([s.P for s in states])  # (m, n, n)
-    return _combine_arrays(xs, Ps, mu)
+    """Probability-weighted mean and spread-corrected covariance.
+
+    This is mixing with the single weight column ``mu``.
+    """
+    x, P = _mix_arrays(*_stacked(states), np.asarray(mu, dtype=float)[:, None])
+    return x[0], P[0]
 
 
 def predict_mode_probs(transition: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -144,23 +170,13 @@ def mixing_weights(
     return pi * mu[:, None] / denom[None, :]
 
 
-def _mix_arrays(xs: np.ndarray, Ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xm = w.T @ xs  # (m, n), row j = mixed state of filter j
-    d = xm[None, :, :] - xs[:, None, :]  # d[i, j] = x_mixed_j - x_i
-    Pm = np.einsum("ij,ikl->jkl", w, Ps) + np.einsum("ij,ijk,ijl->jkl", w, d, d)
-    return xm, 0.5 * (Pm + Pm.transpose(0, 2, 1))
-
-
 def mix(
     states: tuple[ekf.EstimatorState, ...] | list[ekf.EstimatorState],
     weights: np.ndarray,
 ) -> tuple[ekf.EstimatorState, ...]:
     """Re-seed every filter with the weight-mixed state and covariance."""
-    w = np.asarray(weights, dtype=float)
-    xs = np.stack([s.x for s in states])  # (m, n)
-    Ps = np.stack([s.P for s in states])  # (m, n, n)
-    xm, Pm = _mix_arrays(xs, Ps, w)
-    return tuple(ekf.EstimatorState(xm[j], Pm[j]) for j in range(len(states)))
+    xm, Pm = _mix_arrays(*_stacked(states), np.asarray(weights, dtype=float))
+    return tuple(map(ekf.EstimatorState, xm, Pm))
 
 
 def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
@@ -187,33 +203,27 @@ def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
 def imm_step(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
     """One full IMM cycle; returns the next bank and the combined output.
 
-    On any filter failure the exception propagates and the caller's
-    bank value is untouched.
+    Every filter's model is evaluated on its own, then the covariance
+    algebra runs once over the stacked filters.  On any filter failure
+    the exception propagates and the caller's bank value is untouched.
     """
-    posts = []
-    lams = np.empty(len(bank.models))
-    for j, (model, state) in enumerate(zip(bank.models, bank.states)):
-        pred = ekf.predict(state, u, model, bank.noise)
-        post, report = ekf.update(pred, y, u, model, bank.noise)
-        posts.append(post)
-        lams[j] = likelihood(report.residual, report.innovation_cov)
+    models, m = bank.models, len(bank.models)
+    F = np.array([model.jac_f(xj, u) for model, xj in zip(models, bank.x)], dtype=float)
+    x = np.array([model.f(xj, u) for model, xj in zip(models, bank.x)], dtype=float).reshape(m, -1)
+    P = ekf.propagate(F, bank.P, bank.noise.Q)
+    H = np.array([model.jac_h(xj, u) for model, xj in zip(models, x)], dtype=float)
+    hx = np.array([model.h(xj, u) for model, xj in zip(models, x)], dtype=float).reshape(m, -1)
+    z = np.atleast_1d(np.asarray(y, dtype=float)) - hx
+    x, P, S, _ = ekf.correct(x, P, z, H, bank.noise.R)
+    lams = np.array([likelihood(zj, Sj) for zj, Sj in zip(z, S)])
     underflow = not float(np.dot(bank.mu, lams)) > 0.0
     mu_post = update_mode_probs(bank.mu, lams)
-    xs = np.stack([p.x for p in posts])
-    Ps = np.stack([p.P for p in posts])
-    x, P = _combine_arrays(xs, Ps, mu_post)
-    cp_hat = estimate_cp(bank, x, getattr(u, "pitch", 0.0), mu=mu_post)
+    x_c, P_c = _mix_arrays(x, P, mu_post[:, None])  # combination: one weight column
+    cp_hat = estimate_cp(bank, x_c[0], getattr(u, "pitch", 0.0), mu=mu_post)
     mu_prior = predict_mode_probs(bank.transition, mu_post)
-    weights = mixing_weights(bank.transition, mu_post, mu_prior)
-    xm, Pm = _mix_arrays(xs, Ps, weights)
-    mixed = tuple(ekf.EstimatorState(xm[j], Pm[j]) for j in range(len(posts)))
-    new_bank = replace(
-        bank,
-        states=mixed,
-        mu=mu_prior,
-        underflow_count=bank.underflow_count + (1 if underflow else 0),
-    )
-    return new_bank, ImmOutput(x, P, mu_post, cp_hat)
+    xm, Pm = _mix_arrays(x, P, mixing_weights(bank.transition, mu_post, mu_prior))
+    out = ImmOutput(x_c[0], P_c[0], mu_post, cp_hat)
+    return bank._advanced(xm, Pm, mu_prior, underflow), out
 
 
 def build_cp_mode_bank(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cp import CpSurface
 from .errors import NumericalError
@@ -94,16 +93,21 @@ def rews_step_std(mean_wind: float, turbulence_intensity: float, dt: float) -> f
     return math.sqrt(var)
 
 
+def first_order_filter(x: np.ndarray, a: float, y0: float) -> np.ndarray:
+    """Single-pole recursion y_0 = y0, y_k = a y_{k-1} + (1-a) x_k for k >= 1."""
+    b = 1.0 - a
+    out = [float(y0)]
+    for xk in np.asarray(x, dtype=float)[1:].tolist():
+        out.append(a * out[-1] + b * xk)
+    return np.array(out)
+
+
 def _shaped_noise(rng: np.random.Generator, n: int, corner_hz: float, dt: float) -> np.ndarray:
     """Unit-variance stationary first-order low-passed white noise."""
     a = math.exp(-2.0 * math.pi * corner_hz * dt)
     gain = math.sqrt((1.0 - a) / (1.0 + a))  # stationary std of the recursion
     z = rng.standard_normal(n)
-    y = np.empty(n)
-    y[0] = gain * z[0]
-    if n > 1:
-        y[1:] = lfilter([1.0 - a], [1.0, -a], z[1:], zi=[a * y[0]])[0]
-    return y / gain
+    return first_order_filter(z, a, gain * z[0]) / gain
 
 
 def generate_wind(preset: ScenarioPreset) -> WindField:

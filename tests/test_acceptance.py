@@ -237,8 +237,8 @@ def test_criterion_4_invariant_suite():
             )
         y = rng.normal(scale=10.0 if k % 97 == 0 else 1.0)
         bank, out = imm_step(bank, y, None)
-        # mode probabilities on the simplex (bank construction re-validates
-        # the transition rows every cycle)
+        # mode probabilities on the simplex (the transition rows are
+        # validated once, when the bank above is built)
         assert abs(out.mu.sum() - 1.0) <= 1e-12 and np.all(out.mu >= 0.0)
         assert abs(bank.mu.sum() - 1.0) <= 1e-12 and np.all(bank.mu >= 0.0)
         # every covariance symmetric positive semidefinite

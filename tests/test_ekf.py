@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immwind import (
     ControlInput,
@@ -11,6 +13,7 @@ from immwind import (
     predict,
     update,
 )
+from immwind.ekf import correct, propagate
 
 from conftest import LinearModel, random_psd
 
@@ -175,6 +178,45 @@ class TestMultiOutput:
         state = EstimatorState([1.0, 2.0], np.eye(2))
         with pytest.raises(NumericalError, match="not positive definite"):
             update(state, np.array([1.0, 1.0]), None, model, noise)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 3),
+        p=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_batched_call_equals_single_filter_calls(self, m, n, p, seed):
+        """A stack of m filters through the kernel == m predict/update calls, bit for bit."""
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(m, n, n))
+        H = rng.normal(size=(m, p, n))
+        x = rng.normal(size=(m, n))
+        P = np.stack([random_psd(rng, n) for _ in range(m)])
+        noise = NoiseModel(Q=random_psd(rng, n, 0.1), R=random_psd(rng, p) + np.eye(p))
+        y = rng.normal(size=p)
+
+        models = [LinearModel(F[j], H[j]) for j in range(m)]
+        xp = np.array([model.f(xj, None) for model, xj in zip(models, x)])
+        Pp = propagate(F, P, noise.Q)
+        z = y - np.array([model.h(xj, None) for model, xj in zip(models, xp)])
+        xu, Pu, S, L = correct(xp, Pp, z, H, noise.R)
+        for j, model in enumerate(models):
+            pred = predict(EstimatorState(x[j], P[j]), None, model, noise)
+            post, rep = update(pred, y, None, model, noise)
+            np.testing.assert_array_equal(Pp[j], pred.P)
+            np.testing.assert_array_equal(xu[j], post.x)
+            np.testing.assert_array_equal(Pu[j], post.P)
+            np.testing.assert_array_equal(S[j], rep.innovation_cov)
+            np.testing.assert_array_equal(L[j], rep.gain)
+
+    def test_batched_scalar_failure_names_the_bad_value(self):
+        P = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
+        H = np.ones((3, 1, 1))
+        with pytest.raises(NumericalError, match="S=0.0"):
+            correct(np.zeros((3, 1)), P, np.zeros((3, 1)), H, np.zeros((1, 1)))
 
 
 class TestValidation:

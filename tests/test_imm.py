@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,15 @@ class TestLikelihood:
     def test_nonpositive_innovation_covariance(self):
         with pytest.raises(NumericalError):
             likelihood(0.0, 0.0)
+
+    def test_two_channels_match_closed_form(self):
+        z = np.array([0.5, -0.4])
+        S = np.array([[2.0, 0.3], [0.3, 1.0]])
+        expected = np.exp(-0.5 * z @ np.linalg.inv(S) @ z) / np.sqrt(
+            (2 * np.pi) ** 2 * np.linalg.det(S)
+        )
+        assert likelihood(z, S) == pytest.approx(expected, rel=1e-12)
+        assert likelihood(z, S) == pytest.approx(0.0961, abs=5e-5)
 
 
 class TestModeProbUpdate:
@@ -341,6 +351,57 @@ class TestBankValidation:
         base = grid_surface.evaluate(lam, 0.0)
         assert bank.models[1].cp.evaluate(lam, 0.0) == pytest.approx(base + 0.05, rel=1e-12)
         assert bank.models[2].cp.evaluate(lam, 0.0) == pytest.approx(base - 0.05, rel=1e-12)
+
+
+class TestBankValue:
+    def test_imm_step_leaves_the_input_bank_unchanged(self):
+        bank = linear_bank(seed=4)
+        x, P, mu = bank.x.copy(), bank.P.copy(), bank.mu.copy()
+        new_bank, _ = imm_step(bank, 0.7, None)
+        np.testing.assert_array_equal(bank.x, x)
+        np.testing.assert_array_equal(bank.P, P)
+        np.testing.assert_array_equal(bank.mu, mu)
+        assert not np.array_equal(new_bank.x, x)
+
+    def test_states_give_back_the_constructor_states(self):
+        rng = np.random.default_rng(5)
+        states = tuple(
+            EstimatorState(rng.normal(size=2), np.diag(rng.uniform(0.1, 2.0, 2)))
+            for _ in range(3)
+        )
+        bank = ModeBank(
+            models=(LinearModel(np.eye(2), [[1.0, 0.0]]),) * 3,
+            states=states,
+            mu=np.full(3, 1 / 3),
+            transition=PAPER_PI,
+            noise=NoiseModel(Q=np.eye(2), R=[[1.0]]),
+        )
+        assert bank.x.shape == (3, 2) and bank.P.shape == (3, 2, 2)
+        assert len(bank.states) == 3
+        for got, want in zip(bank.states, states):
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.P, want.P)
+
+    def test_attribute_assignment_raises(self):
+        bank = linear_bank()
+        for name in ("x", "P", "mu", "underflow_count"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bank, name, None)
+
+    def test_validated_once_per_caller_built_bank(self, monkeypatch):
+        calls = []
+        validate = ModeBank.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(ModeBank, "__post_init__", counted)
+        bank = linear_bank()
+        assert len(calls) == 1
+        for k in range(20):
+            bank, _ = imm_step(bank, 0.1 * k, None)
+        assert len(calls) == 1
 
 
 class TestSimplexInvariants:

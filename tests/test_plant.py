@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import immwind
 from immwind import (
     BaselineController,
     NumericalError,
@@ -52,6 +56,12 @@ class TestWindField:
     def test_floor_respected_in_heavy_turbulence(self):
         wind = generate_wind(ScenarioPreset(1.0, 0.5, 300.0, seed=4))
         assert np.all(wind.points >= V_FLOOR)
+
+    def test_runtime_needs_no_scipy(self):
+        src = str(Path(immwind.__file__).resolve().parents[1])
+        probe = "import sys, immwind; sys.exit('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0
 
     def test_step_std_formula_matches_series(self):
         p = preset(seed=5, duration=3000.0)
