@@ -37,9 +37,11 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 class CpSurface:
     """Common evaluation contract for Cp surfaces.
 
-    Subclasses implement ``_base_value`` and ``_base_partials`` on the
-    un-offset, un-clamped base map.  ``evaluate`` adds the offset and
-    clamps to [0, CP_CEILING]; ``partials`` are taken before the value
+    Subclasses implement ``_base_value`` and ``_base_with_partials`` on
+    the un-offset base map at inputs already clamped to the bounds.
+    ``evaluate`` and ``eval_with_partials`` hold the clamp rules: inputs
+    are clamped to the bounds, the offset is added and the value is
+    clamped to [0, CP_CEILING]; partials are taken before the value
     clamp and forced to zero in any direction whose input clamp engaged.
     """
 
@@ -50,7 +52,7 @@ class CpSurface:
     def _base_value(self, lam: float, theta: float) -> float:
         raise NotImplementedError
 
-    def _base_partials(self, lam: float, theta: float) -> tuple[float, float]:
+    def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
         raise NotImplementedError
 
     def evaluate(self, lam: float, theta: float, extra_offset: float = 0.0) -> float:
@@ -65,26 +67,26 @@ class CpSurface:
         return _clamp(val, 0.0, CP_CEILING)
 
     def partials(self, lam: float, theta: float) -> tuple[float, float]:
-        """(dCp/dlam, dCp/dtheta) with theta in radians.
+        """(dCp/dlam, dCp/dtheta) with theta in radians, as in ``eval_with_partials``."""
+        return self.eval_with_partials(lam, theta)[1:]
 
-        Evaluated before the [0, CP_CEILING] value clamp; zero in a
-        direction whose input lies outside the bounds.
+    def eval_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
+        """(value, dCp/dlam, dCp/dtheta): one fused lookup for Jacobians.
+
+        The value equals ``evaluate``; the partials are evaluated before
+        the value clamp and are zero in a direction whose input lies
+        outside the bounds.
         """
         lam_lo, lam_hi = self.lam_bounds
         th_lo, th_hi = self.theta_bounds
-        lam_c = _clamp(lam, lam_lo, lam_hi)
-        theta_c = _clamp(theta, th_lo, th_hi)
-        d_lam, d_theta = self._base_partials(lam_c, theta_c)
+        val, d_lam, d_theta = self._base_with_partials(
+            _clamp(lam, lam_lo, lam_hi), _clamp(theta, th_lo, th_hi)
+        )
         if lam < lam_lo or lam > lam_hi:
             d_lam = 0.0
         if theta < th_lo or theta > th_hi:
             d_theta = 0.0
-        return d_lam, d_theta
-
-    def eval_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
-        """(value, dCp/dlam, dCp/dtheta) with the same clamp semantics as
-        ``evaluate`` and ``partials``; one fused lookup for Jacobians."""
-        return (self.evaluate(lam, theta), *self.partials(lam, theta))
+        return _clamp(val + self.offset, 0.0, CP_CEILING), d_lam, d_theta
 
     def with_offset(self, delta: float) -> CpSurface:
         """Copy of this surface with ``delta`` added to its offset."""
@@ -113,28 +115,25 @@ class AnalyticCpSurface(CpSurface):
         if lam_lo + 0.08 * th_lo * _DEG_PER_RAD <= 1e-9:
             raise ValueError("lambda lower bound too close to the surrogate pole")
 
-    def _terms(self, lam: float, theta: float) -> tuple[float, float, float, float]:
+    def _terms(self, lam: float, theta: float) -> tuple[float, float, float, float, float]:
         theta_deg = theta * _DEG_PER_RAD
         denom = lam + 0.08 * theta_deg
         g = 1.0 / denom - 0.035 / (theta_deg**3 + 1.0)  # g = 1/lambda_i
         a = _C2 * g - _C3 * theta_deg - _C4
-        e = math.exp(-_C5 * g)
-        return theta_deg, denom, g, a * e
+        return theta_deg, denom, g, a, math.exp(-_C5 * g)
 
     def _base_value(self, lam: float, theta: float) -> float:
-        _, _, _, ae = self._terms(lam, theta)
-        return _C1 * ae + _C6 * lam
+        _, _, _, a, e = self._terms(lam, theta)
+        return _C1 * (a * e) + _C6 * lam
 
-    def _base_partials(self, lam: float, theta: float) -> tuple[float, float]:
-        theta_deg, denom, g, _ = self._terms(lam, theta)
-        a = _C2 * g - _C3 * theta_deg - _C4
-        e = math.exp(-_C5 * g)
+    def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
+        theta_deg, denom, g, a, e = self._terms(lam, theta)
         dg_dlam = -1.0 / denom**2
         dg_dtheta_deg = -0.08 / denom**2 + 0.105 * theta_deg**2 / (theta_deg**3 + 1.0) ** 2
         common = _C2 - _C5 * a  # d/dg of a*exp(-c5 g) divided by exp(-c5 g)
         d_lam = _C1 * e * dg_dlam * common + _C6
         d_theta_deg = _C1 * e * (dg_dtheta_deg * common - _C3)
-        return d_lam, d_theta_deg * _DEG_PER_RAD
+        return _C1 * (a * e) + _C6 * lam, d_lam, d_theta_deg * _DEG_PER_RAD
 
     def to_grid(self, lam_axis: np.ndarray, theta_axis: np.ndarray) -> GridCpSurface:
         """Sample the base map onto a grid (offset is carried over)."""
@@ -146,7 +145,7 @@ class AnalyticCpSurface(CpSurface):
         return GridCpSurface(lam_axis, theta_axis, values, offset=self.offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridCpSurface(CpSurface):
     """Bilinear interpolation on a rectangular (lambda, theta) grid.
 
@@ -190,14 +189,8 @@ class GridCpSurface(CpSurface):
         object.__setattr__(self, "_lam_list", lam.tolist())
         object.__setattr__(self, "_theta_list", theta.tolist())
         object.__setattr__(self, "_vals_list", vals.tolist())
-
-    @property
-    def lam_bounds(self) -> tuple[float, float]:
-        return float(self.lam_axis[0]), float(self.lam_axis[-1])
-
-    @property
-    def theta_bounds(self) -> tuple[float, float]:
-        return float(self.theta_axis[0]), float(self.theta_axis[-1])
+        object.__setattr__(self, "lam_bounds", (lam[0].item(), lam[-1].item()))
+        object.__setattr__(self, "theta_bounds", (theta[0].item(), theta[-1].item()))
 
     @cached_property
     def _deriv_grids(self) -> tuple[list, list]:
@@ -233,27 +226,14 @@ class GridCpSurface(CpSurface):
         i, j, t, u = self._locate(lam, theta)
         return self._interp_at(self._vals_list, i, j, t, u)
 
-    def _base_partials(self, lam: float, theta: float) -> tuple[float, float]:
+    def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
         d_lam, d_theta = self._deriv_grids
         i, j, t, u = self._locate(lam, theta)
         return (
+            self._interp_at(self._vals_list, i, j, t, u),
             self._interp_at(d_lam, i, j, t, u),
             self._interp_at(d_theta, i, j, t, u),
         )
-
-    def eval_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
-        lam_lo, lam_hi = self.lam_bounds
-        th_lo, th_hi = self.theta_bounds
-        lam_c = _clamp(lam, lam_lo, lam_hi)
-        theta_c = _clamp(theta, th_lo, th_hi)
-        i, j, t, u = self._locate(lam_c, theta_c)
-        val = _clamp(
-            self._interp_at(self._vals_list, i, j, t, u) + self.offset, 0.0, CP_CEILING
-        )
-        d_lam_grid, d_theta_grid = self._deriv_grids
-        d_lam = 0.0 if (lam < lam_lo or lam > lam_hi) else self._interp_at(d_lam_grid, i, j, t, u)
-        d_theta = 0.0 if (theta < th_lo or theta > th_hi) else self._interp_at(d_theta_grid, i, j, t, u)
-        return val, d_lam, d_theta
 
     @classmethod
     def constant(

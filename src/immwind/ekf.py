@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorState:
     """State estimate and its error covariance."""
 
@@ -33,7 +33,7 @@ class EstimatorState:
         object.__setattr__(self, "P", P)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Process covariance Q and measurement covariance R."""
 
@@ -58,7 +58,7 @@ class NoiseModel:
             raise ValueError("R must be strictly positive definite") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateReport:
     """Residual, innovation covariance and gain from one measurement update."""
 

@@ -27,7 +27,7 @@ from .plant import (
     generate_cp_schedule,
     simulate_plant,
 )
-from .turbine import OMEGA_FLOOR, V_FLOOR, ControlInput, TurbineModel
+from .turbine import V_FLOOR, ControlInput, TurbineModel
 
 CP_REFERENCE_CUTOFF_HZ = 0.1
 CP_REFERENCE_FLOOR = 1e-3
@@ -41,31 +41,29 @@ def low_pass(series: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     return first_order_filter(x, math.exp(-2.0 * math.pi * cutoff_hz * dt), x[0])
 
 
+def _percent_error(est: np.ndarray, truth: np.ndarray, floor: float) -> np.ndarray:
+    """100 (est - truth) / truth where truth >= floor; NaN marks excluded samples."""
+    est = np.asarray(est, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if est.shape != truth.shape:
+        raise ValueError("estimate and truth series must have equal length")
+    err = np.full(truth.shape, np.nan)
+    ok = truth >= floor
+    err[ok] = 100.0 * (est[ok] - truth[ok]) / truth[ok]
+    return err
+
+
 def wind_error_series(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
     """Relative wind error in percent; NaN marks excluded samples."""
-    v_hat = np.asarray(v_hat, dtype=float)
-    v_true = np.asarray(v_true, dtype=float)
-    if v_hat.shape != v_true.shape:
-        raise ValueError("estimate and truth series must have equal length")
-    err = np.full(v_true.shape, np.nan)
-    ok = v_true >= V_FLOOR
-    err[ok] = 100.0 * (v_hat[ok] - v_true[ok]) / v_true[ok]
-    return err
+    return _percent_error(v_hat, v_true, V_FLOOR)
 
 
 def cp_error_series(
     cp_hat: np.ndarray, cp_true: np.ndarray, dt: float
 ) -> np.ndarray:
     """Percent error against the low-passed Cp reference; NaN = excluded."""
-    cp_hat = np.asarray(cp_hat, dtype=float)
-    cp_true = np.asarray(cp_true, dtype=float)
-    if cp_hat.shape != cp_true.shape:
-        raise ValueError("estimate and truth series must have equal length")
     ref = low_pass(cp_true, CP_REFERENCE_CUTOFF_HZ, dt)
-    err = np.full(ref.shape, np.nan)
-    ok = ref >= CP_REFERENCE_FLOOR
-    err[ok] = 100.0 * (cp_hat[ok] - ref[ok]) / ref[ok]
-    return err
+    return _percent_error(cp_hat, ref, CP_REFERENCE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _score(err: np.ndarray, settle_idx: int) -> ErrorStats:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorMetrics:
     wind: ErrorStats
     cp: ErrorStats
@@ -101,10 +99,9 @@ class RunMetrics:
     seed: int
     imm: EstimatorMetrics
     kf: EstimatorMetrics
-    settle_excluded_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedRun:
     """Everything recorded for one seed: truth, estimates and scores."""
 
@@ -116,10 +113,6 @@ class SeedRun:
     mu: np.ndarray  # (n, 3) posterior mode probabilities
     v_kf: np.ndarray
     cp_kf: np.ndarray
-    wind_err_imm: np.ndarray
-    wind_err_kf: np.ndarray
-    cp_err_imm: np.ndarray
-    cp_err_kf: np.ndarray
     settle_idx: int
     metrics: RunMetrics
 
@@ -136,7 +129,7 @@ class AggregateMetrics:
     n_failed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     config: ExperimentConfig
     runs: tuple[SeedRun, ...]
@@ -203,7 +196,7 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
     v_imm[0] = v_kf[0] = x0[1]
     mu[0] = bank.mu
     cp_imm[0] = imm.estimate_cp(bank, x0, float(traj.pitch[0]))
-    cp_kf[0] = _nominal_cp(nominal, x0, float(traj.pitch[0]))
+    cp_kf[0] = nominal.cp_at(x0, float(traj.pitch[0]))
 
     for k in range(1, n):
         u_prev = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
@@ -215,17 +208,11 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
         cp_imm[k] = out.cp_estimate
         mu[k] = out.mu
         v_kf[k] = kf_state.x[1]
-        cp_kf[k] = _nominal_cp(nominal, kf_state.x, u_prev.pitch)
+        cp_kf[k] = nominal.cp_at(kf_state.x, u_prev.pitch)
     return dict(
         seed=seed, trajectory=traj, schedule=schedule,
         v_imm=v_imm, cp_imm=cp_imm, mu=mu, v_kf=v_kf, cp_kf=cp_kf,
     )
-
-
-def _nominal_cp(model: TurbineModel, x: np.ndarray, pitch: float) -> float:
-    omega = max(float(x[0]), OMEGA_FLOOR)
-    v = max(float(x[1]), V_FLOOR)
-    return model.cp.evaluate(omega * model.params.radius / v, pitch)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -251,10 +238,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scored_pool: list[np.ndarray] = []
     errors: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for raw in raws:
-        we_imm = wind_error_series(raw["v_imm"], raw["trajectory"].v_rews)
-        we_kf = wind_error_series(raw["v_kf"], raw["trajectory"].v_rews)
-        ce_imm = cp_error_series(raw["cp_imm"], raw["trajectory"].cp_true, config.dt)
-        ce_kf = cp_error_series(raw["cp_kf"], raw["trajectory"].cp_true, config.dt)
+        traj = raw["trajectory"]
+        we_imm = wind_error_series(raw["v_imm"], traj.v_rews)
+        we_kf = wind_error_series(raw["v_kf"], traj.v_rews)
+        cp_ref = low_pass(traj.cp_true, CP_REFERENCE_CUTOFF_HZ, config.dt)
+        ce_imm = _percent_error(raw["cp_imm"], cp_ref, CP_REFERENCE_FLOOR)
+        ce_kf = _percent_error(raw["cp_kf"], cp_ref, CP_REFERENCE_FLOOR)
         errors.append((we_imm, we_kf, ce_imm, ce_kf))
         for err in (we_imm, we_kf):
             tail = err[settle_idx:]
@@ -277,19 +266,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 cp=_score(ce_kf, settle_idx),
                 wind_hist=_hist_counts(we_kf, settle_idx, edges),
             ),
-            settle_excluded_s=config.settle_s,
         )
-        runs.append(
-            SeedRun(
-                **raw,
-                wind_err_imm=we_imm,
-                wind_err_kf=we_kf,
-                cp_err_imm=ce_imm,
-                cp_err_kf=ce_kf,
-                settle_idx=settle_idx,
-                metrics=metrics,
-            )
-        )
+        runs.append(SeedRun(**raw, settle_idx=settle_idx, metrics=metrics))
 
     aggregate = AggregateMetrics(
         imm_wind=_aggregate_stats([r.metrics.imm.wind for r in runs]),

@@ -19,12 +19,12 @@ import numpy as np
 from . import ekf
 from .cp import CpSurface
 from .errors import NumericalError
-from .turbine import OMEGA_FLOOR, V_FLOOR, TurbineModel, TurbineParameters
+from .turbine import TurbineModel, TurbineParameters
 
 MU_FLOOR = 1e-12  # keeps every mode alive and mixing denominators positive
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
 
@@ -86,7 +86,7 @@ class ModeBank:
         return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImmOutput:
     """Combined estimate, covariance, posterior mode probabilities, Cp."""
 
@@ -183,20 +183,17 @@ def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
     """Probability-weighted Cp of the mode surfaces at the combined state.
 
     Uses the bank's stored probabilities unless ``mu`` is supplied
-    (``imm_step`` passes the posterior of the current cycle).  Values
-    below the domain floors are clamped before forming the tip-speed
-    ratio.  Returns NaN when the bank's models carry no Cp surface.
+    (``imm_step`` passes the posterior of the current cycle).  Each
+    mode's ``TurbineModel.cp_at`` raises the state to the domain floors.
+    Returns NaN when the bank's models are not turbine models.
     """
     if mu is None:
         mu = bank.mu
-    if not all(isinstance(getattr(m, "cp", None), CpSurface) for m in bank.models):
+    if not all(isinstance(m, TurbineModel) for m in bank.models):
         return math.nan
-    omega = max(float(x[0]), OMEGA_FLOOR)
-    v = max(float(x[1]), V_FLOOR)
     total = 0.0
     for w, model in zip(mu, bank.models):
-        lam = omega * model.params.radius / v
-        total += float(w) * model.cp.evaluate(lam, pitch)
+        total += float(w) * model.cp_at(x, pitch)
     return total
 
 

@@ -56,7 +56,7 @@ class ScenarioPreset:
         return int(round(self.duration / self.dt)) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindField:
     """9 point series on a 3x3 rotor grid plus their mean, the REWS."""
 
@@ -66,7 +66,7 @@ class WindField:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueCpSchedule:
     """Time series of the plant's true Cp offset, bounded by delta_max."""
 
@@ -265,7 +265,7 @@ class BaselineController:
         return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantTrajectory:
     """Per-step closed-loop records shared by every estimator run."""
 
@@ -353,16 +353,12 @@ def simulate_plant(
     for k in range(n):
         y_k = omega_k + noise[k]
         u = controller.step(y_k)
-        delta_k = float(deltas[k])
-        v_k = float(rews[k])
-        lam = omega_k * params.radius / v_k
         omega[k] = omega_k
         pitch[k] = u.pitch
         tau_g[k] = u.torque
-        cp_true[k] = cp_nominal.evaluate(lam, u.pitch, delta_k)
         y_meas[k] = y_k
-        omega_k, _ = _step_core(
-            omega_k, v_k, u.pitch, u.torque, params, cp_nominal, delta_k
+        omega_k, cp_true[k] = _step_core(
+            omega_k, float(rews[k]), u.pitch, u.torque, params, cp_nominal, float(deltas[k])
         )
         if not 0.0 <= omega_k <= omega_cap:
             raise NumericalError(

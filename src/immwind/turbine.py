@@ -97,6 +97,21 @@ def tip_speed_ratio(omega: float, v: float, radius: float) -> float:
     return omega * radius / v
 
 
+def _aero(
+    omega: float,
+    v: float,
+    pitch: float,
+    params: TurbineParameters,
+    cp: CpSurface,
+    extra_cp_offset: float = 0.0,
+) -> tuple[float, float]:
+    """(Cp, aerodynamic torque) at a state checked against the floors."""
+    _check_floors(omega, v)
+    cp_val = cp.evaluate(omega * params.radius / v, pitch, extra_cp_offset)
+    k = 0.5 * params.air_density * math.pi * params.radius**2
+    return cp_val, k * cp_val * v**3 / omega
+
+
 def aero_torque(
     omega: float,
     v: float,
@@ -110,19 +125,14 @@ def aero_torque(
     ``extra_cp_offset`` shifts the surface without constructing a new
     one; the plant uses it to apply its true-Cp deviation schedule.
     """
-    _check_floors(omega, v)
-    lam = omega * params.radius / v
-    cp_val = cp.evaluate(lam, pitch, extra_cp_offset)
-    k = 0.5 * params.air_density * math.pi * params.radius**2
-    return k * cp_val * v**3 / omega
+    return _aero(omega, v, pitch, params, cp, extra_cp_offset)[1]
 
 
 def step_dynamics(
     x: StateVector, u: ControlInput, params: TurbineParameters, cp: CpSurface
 ) -> StateVector:
     """One explicit-Euler step of the drivetrain; wind passes through."""
-    omega, v = _step_core(x.omega, x.v, u.pitch, u.torque, params, cp)
-    return StateVector(omega, v)
+    return StateVector(_step_core(x.omega, x.v, u.pitch, u.torque, params, cp)[0], x.v)
 
 
 def _step_core(
@@ -134,11 +144,10 @@ def _step_core(
     cp: CpSurface,
     extra_cp_offset: float = 0.0,
 ) -> tuple[float, float]:
-    tau_a = aero_torque(omega, v, pitch, params, cp, extra_cp_offset)
+    """(next rotor speed, the Cp that drove the step)."""
+    cp_val, tau_a = _aero(omega, v, pitch, params, cp, extra_cp_offset)
     omega_next = omega + params.dt / params.inertia * (tau_a - torque)
-    if omega_next < OMEGA_FLOOR:
-        omega_next = OMEGA_FLOOR
-    return omega_next, v
+    return max(omega_next, OMEGA_FLOOR), cp_val
 
 
 def jacobian_f(
@@ -149,10 +158,14 @@ def jacobian_f(
     [[1 + dt/J * dtau/domega, dt/J * dtau/dv], [0, 1]], using the Cp
     surface partials (taken before the value clamp).
     """
-    omega, v = x.omega, x.v
-    _check_floors(omega, v)
-    lam = omega * params.radius / v
-    cp_val, dcp_dlam, _ = cp.eval_with_partials(lam, u.pitch)
+    _check_floors(x.omega, x.v)
+    return _jacobian_core(x.omega, x.v, u.pitch, params, cp)
+
+
+def _jacobian_core(
+    omega: float, v: float, pitch: float, params: TurbineParameters, cp: CpSurface
+) -> np.ndarray:
+    cp_val, dcp_dlam, _ = cp.eval_with_partials(omega * params.radius / v, pitch)
     k = 0.5 * params.air_density * math.pi * params.radius**2
     dtau_domega = k * v**2 * params.radius * dcp_dlam / omega - k * cp_val * v**3 / omega**2
     dtau_dv = 3.0 * k * cp_val * v**2 / omega - k * params.radius * v * dcp_dlam
@@ -168,30 +181,34 @@ def measure(x: StateVector) -> float:
 MEASUREMENT_JACOBIAN = np.array([[1.0, 0.0]])
 
 
+def _floored(x: np.ndarray) -> tuple[float, float]:
+    """A filter state's (omega, v) as floats raised to the domain floors."""
+    return max(float(x[0]), OMEGA_FLOOR), max(float(x[1]), V_FLOOR)
+
+
 @dataclass(frozen=True)
 class TurbineModel:
     """Adapter exposing the turbine as an (f, h, jac_f, jac_h) model.
 
     Filter estimates may transiently wander below the domain floors;
-    the adapter clamps them back before evaluating, which is exactly
-    what the floors exist for.
+    the adapter raises them to the floors before evaluating ``f``,
+    ``jac_f`` or ``cp_at``, which is exactly what the floors exist for.
     """
 
     params: TurbineParameters
     cp: CpSurface
 
-    def _clamped(self, x: np.ndarray) -> StateVector:
-        omega = float(x[0])
-        v = float(x[1])
-        return StateVector(max(omega, OMEGA_FLOOR), max(v, V_FLOOR))
-
     def f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
-        s = self._clamped(x)
-        omega, v = _step_core(s.omega, s.v, u.pitch, u.torque, self.params, self.cp)
-        return np.array([omega, v])
+        omega, v = _floored(x)
+        return np.array([_step_core(omega, v, u.pitch, u.torque, self.params, self.cp)[0], v])
 
     def jac_f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
-        return jacobian_f(self._clamped(x), u, self.params, self.cp)
+        return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp)
+
+    def cp_at(self, x: np.ndarray, pitch: float) -> float:
+        """Cp of this model's surface at the filter state ``x``."""
+        omega, v = _floored(x)
+        return self.cp.evaluate(omega * self.params.radius / v, pitch)
 
     def h(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return np.array([float(x[0])])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immwind import AnalyticCpSurface, GridCpSurface
 from immwind.cp import CP_CEILING, default_grid_surface
@@ -122,7 +124,7 @@ class TestAnalyticSurface:
                 analytic_surface._base_value(lam, th + h)
                 - analytic_surface._base_value(lam, th - h)
             ) / (2 * h)
-            dl, dt = analytic_surface._base_partials(lam, th)
+            _, dl, dt = analytic_surface._base_with_partials(lam, th)
             assert dl == pytest.approx(fd_l, rel=1e-5, abs=1e-9)
             assert dt == pytest.approx(fd_t, rel=1e-5, abs=1e-9)
 
@@ -240,3 +242,27 @@ class TestNonUniformGrid:
         surf, lam, theta, _ = self.make()
         # the plane 0.3 + 0.01 lam - 0.2 theta is reproduced exactly
         assert surf.evaluate(5.5, 0.1) == pytest.approx(0.3 + 0.055 - 0.02, abs=1e-14)
+
+
+SURFACES = {"analytic": AnalyticCpSurface(), "grid": default_grid_surface()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SURFACES)),
+    lam=st.floats(-5.0, 30.0),
+    theta=st.floats(-0.5, 1.0),
+    offset=st.floats(-0.7, 0.7),
+)
+def test_fused_lookup_obeys_the_clamp_rules(kind, lam, theta, offset):
+    """One fused lookup equals the separate calls exactly, inside and outside the bounds."""
+    surf = SURFACES[kind].with_offset(offset)
+    val, d_lam, d_theta = surf.eval_with_partials(lam, theta)
+    assert (val, d_lam, d_theta) == (surf.evaluate(lam, theta), *surf.partials(lam, theta))
+    assert 0.0 <= val <= CP_CEILING
+    lam_lo, lam_hi = surf.lam_bounds
+    th_lo, th_hi = surf.theta_bounds
+    if not lam_lo <= lam <= lam_hi:
+        assert d_lam == 0.0
+    if not th_lo <= theta <= th_hi:
+        assert d_theta == 0.0

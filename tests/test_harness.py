@@ -107,6 +107,18 @@ class TestCpErrorSeries:
 
 
 class TestRunExperiment:
+    def test_cp_reference_low_passed_once_per_seed(self, monkeypatch):
+        calls = []
+
+        def counting(series, cutoff_hz, dt):
+            calls.append(cutoff_hz)
+            return low_pass(series, cutoff_hz, dt)
+
+        monkeypatch.setattr(harness, "low_pass", counting)
+        res = run_experiment(tiny_config(duration_s=20.0, seeds=(1, 2), settle_s=5.0))
+        assert len(res.runs) == 2
+        assert calls == [harness.CP_REFERENCE_CUTOFF_HZ] * 2
+
     def test_deterministic_metrics(self):
         cfg = tiny_config()
         a = run_experiment(cfg)

@@ -18,7 +18,7 @@ from immwind import (
     simulate_plant,
 )
 from immwind.plant import rews_step_std
-from immwind.turbine import V_FLOOR
+from immwind.turbine import OMEGA_FLOOR, V_FLOOR
 
 
 def preset(v_op=8.0, ti=0.10, duration=600.0, seed=1):
@@ -177,6 +177,22 @@ class TestSimulatePlant:
         impulse = np.sum(tau_a[:-1] - traj.tau_g[:-1]) * params.dt
         delta = params.inertia * (traj.omega[-1] - traj.omega[0])
         assert impulse == pytest.approx(delta, rel=1e-6)
+
+    def test_cp_true_is_the_lookup_that_drove_the_step(self, params, grid_surface):
+        p = preset(v_op=15.0, duration=30.0, seed=3)
+        sch = generate_cp_schedule("walk", 0.04, p.n_steps, p.dt, 3)
+        traj = simulate_plant(p, sch, params, grid_surface, 1e-4)
+        k_rotor = 0.5 * params.air_density * math.pi * params.radius**2
+        for k in range(traj.t.size):
+            omega, v = float(traj.omega[k]), float(traj.v_rews[k])
+            cp = grid_surface.evaluate(
+                omega * params.radius / v, float(traj.pitch[k]), float(sch.offsets[k])
+            )
+            assert traj.cp_true[k] == cp
+            if k + 1 < traj.t.size:
+                tau_a = k_rotor * cp * v**3 / omega
+                nxt = omega + params.dt / params.inertia * (tau_a - float(traj.tau_g[k]))
+                assert traj.omega[k + 1] == max(nxt, OMEGA_FLOOR)
 
     def test_rotor_speed_within_safe_envelope(self, params, grid_surface):
         p = preset(v_op=15.0, duration=120.0, seed=7)

@@ -169,3 +169,20 @@ class TestTurbineModel:
         x = np.array([0.9, 8.0])
         assert model.h(x, None)[0] == 0.9
         np.testing.assert_array_equal(model.jac_h(x, None), [[1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "omega, v", [(0.9, 8.0), (0.001, 8.0), (0.9, 0.1), (-1.0, -3.0), (OMEGA_FLOOR, V_FLOOR)]
+    )
+    def test_model_is_the_state_vector_path_at_the_floored_state(
+        self, params, analytic_surface, grid_surface, omega, v
+    ):
+        floored = StateVector(max(omega, OMEGA_FLOOR), max(v, V_FLOOR))
+        u = ControlInput(math.radians(3.0), 2e6)
+        x = np.array([omega, v])
+        for surf in (analytic_surface, grid_surface):
+            model = TurbineModel(params, surf)
+            nxt = step_dynamics(floored, u, params, surf)
+            np.testing.assert_array_equal(model.f(x, u), [nxt.omega, nxt.v])
+            np.testing.assert_array_equal(model.jac_f(x, u), jacobian_f(floored, u, params, surf))
+            lam = floored.omega * params.radius / floored.v
+            assert model.cp_at(x, u.pitch) == surf.evaluate(lam, u.pitch)
