@@ -209,36 +209,18 @@ def _fmt_mu0(value: tuple[float, float, float]) -> str:
     return ",".join(_fmt_float(v) for v in value)
 
 
-_KEY_CODECS = {
-    "scenario": (str, str),
-    "v_op": (_parse_optional_float, _fmt_optional_float),
-    "turbulence_intensity": (_parse_float, _fmt_float),
-    "duration_s": (_parse_float, _fmt_float),
-    "dt": (_parse_float, _fmt_float),
-    "seeds": (_parse_seeds, _fmt_seeds),
-    "schedule": (str, str),
-    "schedule_delta_max": (_parse_float, _fmt_float),
-    "delta_cp": (_parse_float, _fmt_float),
-    "pi_stay": (_parse_float, _fmt_float),
-    "mu0": (_parse_mu0, _fmt_mu0),
-    "q_omega_std": (_parse_float, _fmt_float),
-    "q_wind_std": (_parse_optional_float, _fmt_optional_float),
-    "r_std": (_parse_float, _fmt_float),
-    "meas_noise_std": (_parse_float, _fmt_float),
-    "p0_omega_std": (_parse_float, _fmt_float),
-    "p0_wind_std": (_parse_float, _fmt_float),
-    "settle_s": (_parse_float, _fmt_float),
-    "hist_bins": (_parse_int, str),
-    "out_dir": (str, str),
-    "cp_table": (str, str),
-    "inertia": (_parse_float, _fmt_float),
-    "radius": (_parse_float, _fmt_float),
-    "air_density": (_parse_float, _fmt_float),
-    "omega_rated": (_parse_float, _fmt_float),
-    "tau_rated": (_parse_float, _fmt_float),
+# (parser, formatter) per field annotation; the annotations are strings
+# under ``from __future__ import annotations``
+_TYPE_CODECS = {
+    "str": (str, str),
+    "int": (_parse_int, str),
+    "float": (_parse_float, _fmt_float),
+    "float | None": (_parse_optional_float, _fmt_optional_float),
+    "tuple[int, ...]": (_parse_seeds, _fmt_seeds),
+    "tuple[float, float, float]": (_parse_mu0, _fmt_mu0),
 }
 
-assert set(_KEY_CODECS) == {f.name for f in fields(ExperimentConfig)}
+_KEY_CODECS = {f.name: _TYPE_CODECS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -270,12 +270,13 @@ class GridCpSurface(CpSurface):
 
     def to_csv(self, path: str | Path) -> None:
         """Write the grid in the layout accepted by ``from_csv``."""
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([""] + [repr(float(v)) for v in np.degrees(self.theta_axis)])
-            for lam, row in zip(self.lam_axis, self.values):
-                writer.writerow([repr(float(lam))] + [repr(float(v)) for v in row])
+            writer.writerow([""] + np.degrees(self.theta_axis).tolist())
+            writer.writerows(
+                [lam] + row
+                for lam, row in zip(self.lam_axis.tolist(), self.values.tolist())
+            )
 
 
 def default_grid_surface(

@@ -76,10 +76,15 @@ class ErrorStats:
     n_excluded: int
 
 
-def _score(err: np.ndarray, settle_idx: int) -> ErrorStats:
+def _scored(err: np.ndarray, settle_idx: int) -> np.ndarray:
+    """The scored samples of an error series: after settling, NaNs dropped."""
     tail = err[settle_idx:]
-    scored = tail[~np.isnan(tail)]
-    n_excluded = int(np.isnan(tail).sum())
+    return tail[~np.isnan(tail)]
+
+
+def _score(err: np.ndarray, settle_idx: int) -> ErrorStats:
+    scored = _scored(err, settle_idx)
+    n_excluded = err[settle_idx:].size - scored.size
     if scored.size == 0:
         return ErrorStats(math.nan, math.nan, 0, n_excluded)
     return ErrorStats(
@@ -155,12 +160,20 @@ def _hist_edges(pooled: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _hist_counts(err: np.ndarray, settle_idx: int, edges: np.ndarray) -> np.ndarray:
-    tail = err[settle_idx:]
-    scored = tail[~np.isnan(tail)]
     # clip outliers into the edge bins so counts always sum to n_scored
-    clipped = np.clip(scored, edges[0], edges[-1])
+    clipped = np.clip(_scored(err, settle_idx), edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
     return counts
+
+
+def _estimator_metrics(
+    wind_err: np.ndarray, cp_err: np.ndarray, settle_idx: int, edges: np.ndarray
+) -> EstimatorMetrics:
+    return EstimatorMetrics(
+        wind=_score(wind_err, settle_idx),
+        cp=_score(cp_err, settle_idx),
+        wind_hist=_hist_counts(wind_err, settle_idx, edges),
+    )
 
 
 def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
@@ -235,38 +248,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "every seed failed: " + "; ".join(f"{s}: {m}" for s, m in failed)
         )
 
-    scored_pool: list[np.ndarray] = []
-    errors: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # per seed: estimator name -> (wind error series, Cp error series)
+    errors: list[dict[str, tuple[np.ndarray, np.ndarray]]] = []
     for raw in raws:
         traj = raw["trajectory"]
-        we_imm = wind_error_series(raw["v_imm"], traj.v_rews)
-        we_kf = wind_error_series(raw["v_kf"], traj.v_rews)
         cp_ref = low_pass(traj.cp_true, CP_REFERENCE_CUTOFF_HZ, config.dt)
-        ce_imm = _percent_error(raw["cp_imm"], cp_ref, CP_REFERENCE_FLOOR)
-        ce_kf = _percent_error(raw["cp_kf"], cp_ref, CP_REFERENCE_FLOOR)
-        errors.append((we_imm, we_kf, ce_imm, ce_kf))
-        for err in (we_imm, we_kf):
-            tail = err[settle_idx:]
-            scored_pool.append(tail[~np.isnan(tail)])
-    edges = _hist_edges(
-        np.concatenate(scored_pool) if scored_pool else np.array([]), config.hist_bins
-    )
+        errors.append({
+            name: (
+                wind_error_series(raw[f"v_{name}"], traj.v_rews),
+                _percent_error(raw[f"cp_{name}"], cp_ref, CP_REFERENCE_FLOOR),
+            )
+            for name in ("imm", "kf")
+        })
+    pooled = [
+        _scored(wind_err, settle_idx)
+        for seed_errors in errors
+        for wind_err, _ in seed_errors.values()
+    ]
+    edges = _hist_edges(np.concatenate(pooled), config.hist_bins)
 
     runs: list[SeedRun] = []
-    for raw, (we_imm, we_kf, ce_imm, ce_kf) in zip(raws, errors):
-        metrics = RunMetrics(
-            seed=raw["seed"],
-            imm=EstimatorMetrics(
-                wind=_score(we_imm, settle_idx),
-                cp=_score(ce_imm, settle_idx),
-                wind_hist=_hist_counts(we_imm, settle_idx, edges),
-            ),
-            kf=EstimatorMetrics(
-                wind=_score(we_kf, settle_idx),
-                cp=_score(ce_kf, settle_idx),
-                wind_hist=_hist_counts(we_kf, settle_idx, edges),
-            ),
-        )
+    for raw, seed_errors in zip(raws, errors):
+        metrics = RunMetrics(seed=raw["seed"], **{
+            name: _estimator_metrics(wind_err, cp_err, settle_idx, edges)
+            for name, (wind_err, cp_err) in seed_errors.items()
+        })
         runs.append(SeedRun(**raw, settle_idx=settle_idx, metrics=metrics))
 
     aggregate = AggregateMetrics(
@@ -289,6 +295,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # -- output files -------------------------------------------------------
 
 
+def _write_table(path: Path, header: list[str], rows) -> Path:
+    """Write one CSV table; ``csv`` writes a float as ``str``, which is its ``repr``."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write summary, per-seed time series and histograms, config echo.
 
@@ -299,100 +314,47 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    written: list[Path] = []
 
-    summary = out / "summary.csv"
     agg = result.aggregate
-    with summary.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario",
-                "estimator",
-                "wind_mean_pct",
-                "wind_std_pct",
-                "cp_mean_pct",
-                "cp_std_pct",
-                "n_scored_wind",
-                "n_excluded_wind",
-                "n_scored_cp",
-                "n_excluded_cp",
-                "n_seeds",
-                "n_failed",
-            ]
-        )
-        for name, wind, cp in (
-            ("imm", agg.imm_wind, agg.imm_cp),
-            ("kf", agg.kf_wind, agg.kf_cp),
-        ):
-            writer.writerow(
-                [
-                    result.config.scenario,
-                    name,
-                    repr(wind.mean_pct),
-                    repr(wind.std_pct),
-                    repr(cp.mean_pct),
-                    repr(cp.std_pct),
-                    wind.n_scored,
-                    wind.n_excluded,
-                    cp.n_scored,
-                    cp.n_excluded,
-                    agg.n_seeds,
-                    agg.n_failed,
-                ]
+    written = [_write_table(
+        out / "summary.csv",
+        ["scenario", "estimator", "wind_mean_pct", "wind_std_pct", "cp_mean_pct",
+         "cp_std_pct", "n_scored_wind", "n_excluded_wind", "n_scored_cp",
+         "n_excluded_cp", "n_seeds", "n_failed"],
+        [
+            [result.config.scenario, name, wind.mean_pct, wind.std_pct, cp.mean_pct,
+             cp.std_pct, wind.n_scored, wind.n_excluded, cp.n_scored, cp.n_excluded,
+             agg.n_seeds, agg.n_failed]
+            for name, wind, cp in (
+                ("imm", agg.imm_wind, agg.imm_cp),
+                ("kf", agg.kf_wind, agg.kf_cp),
             )
-    written.append(summary)
+        ],
+    )]
 
+    edges = result.hist_edges.tolist()
     for run in result.runs:
-        ts_path = out / f"timeseries_{run.seed}.csv"
-        with ts_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "v_rews", "v_imm", "v_kf", "cp_true", "cp_imm", "cp_kf",
-                 "mu1", "mu2", "mu3"]
-            )
-            traj = run.trajectory
-            for k in range(traj.t.size):
-                writer.writerow(
-                    [
-                        repr(float(traj.t[k])),
-                        repr(float(traj.v_rews[k])),
-                        repr(float(run.v_imm[k])),
-                        repr(float(run.v_kf[k])),
-                        repr(float(traj.cp_true[k])),
-                        repr(float(run.cp_imm[k])),
-                        repr(float(run.cp_kf[k])),
-                        repr(float(run.mu[k, 0])),
-                        repr(float(run.mu[k, 1])),
-                        repr(float(run.mu[k, 2])),
-                    ]
-                )
-        written.append(ts_path)
-
-        hist_path = out / f"hist_{run.seed}.csv"
-        with hist_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count_imm", "count_kf"])
-            edges = result.hist_edges
-            for b in range(edges.size - 1):
-                writer.writerow(
-                    [
-                        repr(float(edges[b])),
-                        repr(float(edges[b + 1])),
-                        int(run.metrics.imm.wind_hist[b]),
-                        int(run.metrics.kf.wind_hist[b]),
-                    ]
-                )
-        written.append(hist_path)
+        traj = run.trajectory
+        table = np.column_stack((
+            traj.t, traj.v_rews, run.v_imm, run.v_kf,
+            traj.cp_true, run.cp_imm, run.cp_kf, run.mu,
+        ))
+        written.append(_write_table(
+            out / f"timeseries_{run.seed}.csv",
+            ["t", "v_rews", "v_imm", "v_kf", "cp_true", "cp_imm", "cp_kf",
+             "mu1", "mu2", "mu3"],
+            # row by row: a whole-table tolist() holds every cell as a float object
+            (row.tolist() for row in table),
+        ))
+        written.append(_write_table(
+            out / f"hist_{run.seed}.csv",
+            ["bin_left", "bin_right", "count_imm", "count_kf"],
+            zip(edges[:-1], edges[1:], run.metrics.imm.wind_hist.tolist(),
+                run.metrics.kf.wind_hist.tolist()),
+        ))
 
     if result.failed:
-        failed_path = out / "failed.csv"
-        with failed_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "error"])
-            for seed, msg in result.failed:
-                writer.writerow([seed, msg])
-        written.append(failed_path)
+        written.append(_write_table(out / "failed.csv", ["seed", "error"], result.failed))
 
     echo = out / "config_echo.txt"
     echo.write_text(format_config(result.config), encoding="utf-8")

@@ -279,25 +279,12 @@ class PlantTrajectory:
     dt: float
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
+        columns = (self.t, self.omega, self.v_rews, self.pitch, self.tau_g,
+                   self.cp_true, self.y_meas)
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "omega", "v_rews", "pitch", "tau_g", "cp_true", "y_meas"])
-            for k in range(self.t.size):
-                writer.writerow(
-                    [
-                        repr(float(a[k]))
-                        for a in (
-                            self.t,
-                            self.omega,
-                            self.v_rews,
-                            self.pitch,
-                            self.tau_g,
-                            self.cp_true,
-                            self.y_meas,
-                        )
-                    ]
-                )
+            writer.writerows(row.tolist() for row in np.column_stack(columns))
 
 
 def simulate_plant(

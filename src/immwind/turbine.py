@@ -64,13 +64,6 @@ class StateVector:
     omega: float  # rad/s
     v: float  # m/s
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.omega, self.v])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> StateVector:
-        return cls(float(x[0]), float(x[1]))
-
 
 @dataclass(frozen=True)
 class ControlInput:

@@ -1,12 +1,61 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immwind import ConfigError, load_config, parse_config, format_config
 from immwind.cli import main
 from immwind.config import ExperimentConfig
 
 
+def _positive(hi=1e9):
+    return st.floats(1e-9, hi)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid experiment configs: auto values, several seeds, non-uniform mu0."""
+    duration = draw(st.floats(1.0, 3600.0))
+    raw_mu0 = draw(st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda t: sum(t) > 0.1))
+    total = sum(raw_mu0)
+    path_text = st.text(alphabet="abcxyz019_-./", min_size=1, max_size=12)
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(["below", "above"])),
+        v_op=draw(st.none() | st.floats(0.5, 40.0)),
+        turbulence_intensity=draw(st.floats(0.0, 0.5)),
+        duration_s=duration,
+        dt=draw(st.floats(1e-3, 0.1)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))),
+        schedule=draw(st.sampled_from(["regime", "walk"])),
+        schedule_delta_max=draw(st.floats(0.0, 0.2)),
+        delta_cp=draw(st.floats(0.0, 0.2)),
+        pi_stay=draw(st.floats(0.5, 1.0)),
+        mu0=tuple(w / total for w in raw_mu0),
+        q_omega_std=draw(st.floats(0.0, 1.0)),
+        q_wind_std=draw(st.none() | _positive(10.0)),
+        r_std=draw(_positive()),
+        meas_noise_std=draw(st.floats(0.0, 1.0)),
+        p0_omega_std=draw(_positive()),
+        p0_wind_std=draw(_positive()),
+        settle_s=duration * draw(st.floats(0.0, 0.99)),
+        hist_bins=draw(st.integers(1, 500)),
+        out_dir=draw(path_text),
+        cp_table=draw(st.sampled_from(["builtin-grid", "builtin-analytic"]) | path_text),
+        inertia=draw(_positive(1e12)),
+        radius=draw(_positive(500.0)),
+        air_density=draw(_positive(10.0)),
+        omega_rated=draw(_positive(10.0)),
+        tau_rated=draw(_positive(1e9)),
+    )
+
+
 class TestParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=valid_configs())
+    def test_round_trip_property(self, cfg):
+        cfg.validate()
+        assert parse_config(format_config(cfg)) == cfg
+
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
         assert parse_config(format_config(cfg)) == cfg

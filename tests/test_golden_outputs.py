@@ -1,9 +1,11 @@
-"""Byte-identity guard for the files ``write_outputs`` produces.
+"""Byte-identity guard for every CSV file the package writes.
 
 Pins the sha256 of every output file of two short experiments, one per
-scenario preset (seeds 1 and 2, 120 s each).  A refactor that should
-leave the numbers alone must keep every hash.  A change that means to
-alter output bits updates the hashes below and says why in CHANGES.md.
+scenario preset (seeds 1 and 2, 120 s each), of a 60 s seed's
+``PlantTrajectory.write_csv`` per preset and of the default Cp grid's
+``to_csv``.  A refactor that should leave the numbers alone must keep
+every hash.  A change that means to alter output bits updates the
+hashes below and says why in CHANGES.md.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import pytest
 
 from immwind import run_experiment, write_outputs
 from immwind.config import ExperimentConfig
+from immwind.cp import default_grid_surface
 
 GOLDEN = {
     "below": {
@@ -33,9 +36,33 @@ GOLDEN = {
 }
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_output_files_match_pinned_hashes(scenario, tmp_path):
     config = ExperimentConfig(scenario=scenario, seeds=(1, 2), duration_s=120.0)
     written = write_outputs(run_experiment(config), tmp_path)
-    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
-    assert hashes == GOLDEN[scenario]
+    assert {p.name: _sha256(p) for p in written} == GOLDEN[scenario]
+
+
+TRAJECTORY_GOLDEN = {
+    "below": "fc39c0f85ab4ccb6977529685575f7aa265ff231998296e95f188a687c274c88",
+    "above": "8f1b9861714f00932d55fae158dc4a1e2c3562cdde9c3d521ffbba4b5fc70c64",
+}
+GRID_GOLDEN = "23540607c6b52c263659eb86c819ae8970b34633ccf67dbeacf96f494a1d73cd"
+
+
+@pytest.mark.parametrize("scenario", sorted(TRAJECTORY_GOLDEN))
+def test_trajectory_csv_matches_pinned_hash(scenario, tmp_path):
+    config = ExperimentConfig(scenario=scenario, seeds=(1,), duration_s=60.0)
+    path = tmp_path / "trajectory.csv"
+    run_experiment(config).runs[0].trajectory.write_csv(path)
+    assert _sha256(path) == TRAJECTORY_GOLDEN[scenario]
+
+
+def test_default_grid_csv_matches_pinned_hash(tmp_path):
+    path = tmp_path / "grid.csv"
+    default_grid_surface().to_csv(path)
+    assert _sha256(path) == GRID_GOLDEN

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -271,14 +272,16 @@ class TestWriteOutputs:
 
     def test_failed_runs_recorded(self, tmp_path, monkeypatch):
         real = harness._run_estimators
+        message = 'pitch "p" left [0, 1.508]'
 
         def flaky(config, seed):
             if seed == 2:
-                raise NumericalError("synthetic failure")
+                raise NumericalError(message)
             return real(config, seed)
 
         monkeypatch.setattr(harness, "_run_estimators", flaky)
         res = run_experiment(tiny_config(seeds=(1, 2)))
         write_outputs(res, tmp_path)
-        text = (tmp_path / "failed.csv").read_text(encoding="utf-8")
-        assert "synthetic failure" in text
+        with (tmp_path / "failed.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["seed", "error"], ["2", message]]

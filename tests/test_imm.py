@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immwind import (
     ControlInput,
@@ -25,8 +27,9 @@ from immwind import (
     update,
     update_mode_probs,
 )
+from immwind.imm import MU_FLOOR
 
-from conftest import LinearModel
+from conftest import LinearModel, random_psd
 
 PAPER_PI = np.array(
     [[0.99, 0.005, 0.005], [0.005, 0.99, 0.005], [0.005, 0.005, 0.99]]
@@ -193,6 +196,35 @@ class TestMix:
         for m in mixed:
             assert m.x[0] == pytest.approx(1.0, abs=1e-15)
             assert m.P[0, 0] == pytest.approx(2.0, abs=1e-15)  # 1 + spread 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        n=st.integers(1, 3),
+        dominant=st.integers(0, 3),
+        stay=st.sampled_from([0.5, 0.999, 1.0 - 1e-12, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extreme_weights_keep_simplex_and_psd(self, m, n, dominant, stay, seed):
+        """One mode at 1 - (m-1) MU_FLOOR beside MU_FLOOR-sized ones."""
+        rng = np.random.default_rng(seed)
+        mu = np.full(m, MU_FLOOR)
+        mu[dominant % m] = 1.0 - (m - 1) * MU_FLOOR
+        states = [
+            EstimatorState(
+                rng.normal(scale=10.0, size=n),
+                random_psd(rng, n, scale=10.0 ** rng.uniform(-6.0, 3.0)),
+            )
+            for _ in range(m)
+        ]
+        pi = symmetric_transition(m, stay)
+        w = mixing_weights(pi, mu, predict_mode_probs(pi, mu))
+        np.testing.assert_allclose(w.sum(axis=0), np.ones(m), rtol=0, atol=1e-12)
+        outputs = [(s.x, s.P) for s in mix(states, w)] + [combine(states, mu)]
+        for x, P in outputs:
+            assert np.all(np.isfinite(x))
+            np.testing.assert_array_equal(P, P.T)
+            assert np.linalg.eigvalsh(P).min() >= -1e-10 * np.trace(P)
 
 
 class TestImmStep:
