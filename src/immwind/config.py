@@ -14,6 +14,7 @@ import numpy as np
 
 from .cp import AnalyticCpSurface, CpSurface, GridCpSurface, default_grid_surface
 from .errors import ConfigError
+from .imm import symmetric_transition
 from .plant import ScenarioPreset, rews_step_std
 from .turbine import TurbineParameters
 
@@ -33,7 +34,7 @@ class ExperimentConfig:
     v_op: float | None = None  # None = use the scenario default
     turbulence_intensity: float = 0.10
     duration_s: float = 600.0
-    dt: float = 0.05
+    dt: float = TurbineParameters.dt
     seeds: tuple[int, ...] = (1,)
     schedule: str = "regime"
     schedule_delta_max: float = 0.04
@@ -50,11 +51,11 @@ class ExperimentConfig:
     hist_bins: int = 41
     out_dir: str = "out"
     cp_table: str = "builtin-grid"
-    inertia: float = 1.6e8
-    radius: float = 89.2
-    air_density: float = 1.225
-    omega_rated: float = 1.005
-    tau_rated: float = 9.8e6
+    inertia: float = TurbineParameters.inertia
+    radius: float = TurbineParameters.radius
+    air_density: float = TurbineParameters.air_density
+    omega_rated: float = TurbineParameters.omega_rated
+    tau_rated: float = TurbineParameters.tau_rated
 
     # -- derived objects ------------------------------------------------
 
@@ -110,8 +111,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def transition(self) -> np.ndarray:
-        from .imm import symmetric_transition
-
         return symmetric_transition(3, self.pi_stay)
 
     def validate(self) -> None:

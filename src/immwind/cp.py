@@ -9,6 +9,7 @@ their inputs to the surface bounds; evaluated values are clamped to
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -178,14 +179,6 @@ class GridCpSurface(CpSurface):
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
-        # uniform axes admit O(1) cell lookup; fall back to bisection otherwise
-        dl = np.diff(lam)
-        dt = np.diff(theta)
-        uniform = bool(
-            np.allclose(dl, dl[0], rtol=1e-9, atol=0.0)
-            and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)
-        )
-        object.__setattr__(self, "_uniform", uniform)
         object.__setattr__(self, "_lam_list", lam.tolist())
         object.__setattr__(self, "_theta_list", theta.tolist())
         object.__setattr__(self, "_vals_list", vals.tolist())
@@ -199,11 +192,8 @@ class GridCpSurface(CpSurface):
         return d_lam.tolist(), d_theta.tolist()
 
     def _cell(self, axis: list, x: float) -> int:
+        i = bisect.bisect_right(axis, x) - 1
         n = len(axis)
-        if self._uniform:
-            i = int((x - axis[0]) * (n - 1) / (axis[-1] - axis[0]))
-        else:
-            i = int(np.searchsorted(axis, x, side="right")) - 1
         return 0 if i < 0 else n - 2 if i > n - 2 else i
 
     def _locate(self, lam: float, theta: float) -> tuple[int, int, float, float]:
@@ -236,19 +226,14 @@ class GridCpSurface(CpSurface):
         )
 
     @classmethod
-    def constant(
-        cls,
-        value: float,
-        lam_bounds: tuple[float, float] = (0.0, 30.0),
-        theta_bounds: tuple[float, float] = (0.0, math.radians(45.0)),
-    ) -> GridCpSurface:
-        """Flat surface Cp == value over the given bounds (handy in tests)."""
-        lam_axis = np.array(lam_bounds, dtype=float)
-        theta_axis = np.array(theta_bounds, dtype=float)
+    def constant(cls, value: float) -> GridCpSurface:
+        """Flat surface Cp == value over lambda [0, 30], theta [0, 45 deg] (handy in tests)."""
+        lam_axis = np.array([0.0, 30.0])
+        theta_axis = np.array([0.0, math.radians(45.0)])
         return cls(lam_axis, theta_axis, np.full((2, 2), float(value)))
 
     @classmethod
-    def from_csv(cls, path: str | Path, offset: float = 0.0) -> GridCpSurface:
+    def from_csv(cls, path: str | Path) -> GridCpSurface:
         """Load a grid from CSV.
 
         Layout: first row is the pitch axis in degrees (its first cell is
@@ -266,7 +251,7 @@ class GridCpSurface(CpSurface):
             values = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell in Cp table: {exc}") from exc
-        return cls(lam_axis, np.radians(theta_deg), values, offset=offset)
+        return cls(lam_axis, np.radians(theta_deg), values)
 
     def to_csv(self, path: str | Path) -> None:
         """Write the grid in the layout accepted by ``from_csv``."""
@@ -279,10 +264,12 @@ class GridCpSurface(CpSurface):
             )
 
 
-def default_grid_surface(
-    lam_step: float = 0.25, theta_step_deg: float = 0.5
-) -> GridCpSurface:
-    """The analytic surrogate sampled onto the default working grid."""
-    lam_axis = np.arange(1.0, 15.0 + 1e-9, lam_step)
-    theta_axis = np.radians(np.arange(0.0, 30.0 + 1e-9, theta_step_deg))
+def default_grid_surface() -> GridCpSurface:
+    """The analytic surrogate sampled onto the working grid.
+
+    lambda runs from 1 to 15 in steps of 0.25, theta from 0 to 30 degrees
+    in steps of 0.5 degrees.
+    """
+    lam_axis = np.arange(1.0, 15.0 + 1e-9, 0.25)
+    theta_axis = np.radians(np.arange(0.0, 30.0 + 1e-9, 0.5))
     return AnalyticCpSurface().to_grid(lam_axis, theta_axis)

@@ -74,6 +74,14 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def check_positive_definite(S: np.ndarray) -> None:
+    """Raise NumericalError unless S, or every matrix in a stack S, is positive definite."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"innovation covariance is not positive definite: S={S}") from exc
+
+
 def propagate(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Predicted covariance F P F' + Q, symmetrised; leading axes batch filters."""
     P = F @ P @ F.mT + Q
@@ -95,10 +103,7 @@ def correct(
         L = (P @ H.mT) / S
         x = x + L[..., 0] * z
     else:
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance is not positive definite: S={S}") from exc
+        check_positive_definite(S)
         L = P @ H.mT @ np.linalg.inv(S)
         x = x + (L @ z[..., None])[..., 0]
     P = (_identity(x.shape[-1]) - L @ H) @ P

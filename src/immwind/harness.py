@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -211,17 +212,20 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
     cp_imm[0] = imm.estimate_cp(bank, x0, float(traj.pitch[0]))
     cp_kf[0] = nominal.cp_at(x0, float(traj.pitch[0]))
 
-    for k in range(1, n):
-        u_prev = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
-        y_k = float(traj.y_meas[k])
-        bank, out = imm.imm_step(bank, y_k, u_prev)
-        pred = ekf.predict(kf_state, u_prev, nominal, noise)
-        kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
-        v_imm[k] = out.x[1]
-        cp_imm[k] = out.cp_estimate
-        mu[k] = out.mu
-        v_kf[k] = kf_state.x[1]
-        cp_kf[k] = nominal.cp_at(kf_state.x, u_prev.pitch)
+    try:
+        for k in range(1, n):
+            u_prev = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
+            y_k = float(traj.y_meas[k])
+            bank, out = imm.imm_step(bank, y_k, u_prev)
+            pred = ekf.predict(kf_state, u_prev, nominal, noise)
+            kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
+            v_imm[k] = out.x[1]
+            cp_imm[k] = out.cp_estimate
+            mu[k] = out.mu
+            v_kf[k] = kf_state.x[1]
+            cp_kf[k] = nominal.cp_at(kf_state.x, u_prev.pitch)
+    except NumericalError as exc:
+        raise NumericalError(f"step {k}, t={k * config.dt:.2f} s: {exc}") from exc
     return dict(
         seed=seed, trajectory=traj, schedule=schedule,
         v_imm=v_imm, cp_imm=cp_imm, mu=mu, v_kf=v_kf, cp_kf=cp_kf,
@@ -294,6 +298,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- output files -------------------------------------------------------
 
+# names of the files ``write_outputs`` writes that depend on the result
+_RESULT_FILE = re.compile(r"(timeseries|hist)_-?\d+\.csv|failed\.csv")
+
 
 def _write_table(path: Path, header: list[str], rows) -> Path:
     """Write one CSV table; ``csv`` writes a float as ``str``, which is its ``repr``."""
@@ -307,7 +314,9 @@ def _write_table(path: Path, header: list[str], rows) -> Path:
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write summary, per-seed time series and histograms, config echo.
 
-    Identical results produce byte-identical files.
+    Identical results produce byte-identical files.  Per-seed and
+    failure files that an earlier result left in ``out_dir`` and that
+    this result does not write are deleted; other files are left alone.
     """
     out = Path(out_dir)
     try:
@@ -359,4 +368,9 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     echo = out / "config_echo.txt"
     echo.write_text(format_config(result.config), encoding="utf-8")
     written.append(echo)
+
+    names = {path.name for path in written}
+    for path in out.iterdir():
+        if _RESULT_FILE.fullmatch(path.name) and path.name not in names:
+            path.unlink()
     return written

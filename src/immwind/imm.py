@@ -31,9 +31,9 @@ class ModeBank:
     The filters' states are stored stacked: ``x`` is (m, n) and ``P``
     is (m, n, n), row j being filter j.  ``mu`` holds the prior mode
     probabilities for the next measurement; ``offsets`` records each
-    mode's Cp offset for reporting.  ``underflow_count`` counts cycles
-    whose likelihoods all underflowed to zero (the probabilities are
-    then carried through unchanged).
+    mode's Cp offset for reporting.  ``underflow_count`` counts the
+    cycles since construction whose likelihoods all underflowed to zero
+    (the probabilities are then carried through unchanged).
     """
 
     models: tuple
@@ -45,7 +45,7 @@ class ModeBank:
     offsets: tuple[float, ...] = ()
     underflow_count: int = 0
 
-    def __init__(self, models, states, mu, transition, noise, offsets=(), underflow_count=0):
+    def __init__(self, models, states, mu, transition, noise, offsets=()):
         x, P = _stacked(states)
         vars(self).update(
             models=tuple(models),
@@ -55,7 +55,7 @@ class ModeBank:
             transition=np.array(transition, dtype=float),
             noise=noise,
             offsets=offsets,
-            underflow_count=underflow_count,
+            underflow_count=0,
         )
         self.__post_init__()
 
@@ -105,9 +105,8 @@ def likelihood(z, S) -> float:
         if not s > 0.0:
             raise NumericalError(f"innovation covariance S={s} is not positive")
         return math.exp(-0.5 * float(z[0]) ** 2 / s) / math.sqrt(2.0 * math.pi * s)
+    ekf.check_positive_definite(S)
     det = float(np.linalg.det(S))
-    if not det > 0.0:
-        raise NumericalError(f"innovation covariance has det={det}")
     quad = float(z @ np.linalg.solve(S, z))
     return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** z.size * det)
 

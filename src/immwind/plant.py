@@ -41,7 +41,7 @@ class ScenarioPreset:
     turbulence_intensity: float  # std / mean
     duration: float  # s
     seed: int
-    dt: float = 0.05
+    dt: float = TurbineParameters.dt
 
     def __post_init__(self) -> None:
         if self.mean_wind <= 0.0:
@@ -62,8 +62,6 @@ class WindField:
 
     points: np.ndarray  # (n, 9)
     rews: np.ndarray  # (n,)
-    dt: float
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +69,6 @@ class TrueCpSchedule:
     """Time series of the plant's true Cp offset, bounded by delta_max."""
 
     offsets: np.ndarray
-    delta_max: float
-    kind: str  # "walk" | "regime"
-    seed: int
 
 
 def rews_step_std(mean_wind: float, turbulence_intensity: float, dt: float) -> float:
@@ -131,7 +126,7 @@ def generate_wind(preset: ScenarioPreset) -> WindField:
         points[:, i] = preset.mean_wind + s_shared * shared + s_own * own
     np.maximum(points, V_FLOOR, out=points)
     rews = points.mean(axis=1)
-    return WindField(points=points, rews=rews, dt=preset.dt, seed=preset.seed)
+    return WindField(points=points, rews=rews)
 
 
 # regime dwell in seconds; the -delta level dwells longer so the true
@@ -180,7 +175,7 @@ def generate_cp_schedule(
             k += n_dwell
     else:
         raise ValueError(f"unknown schedule kind {kind!r} (expected 'walk' or 'regime')")
-    return TrueCpSchedule(offsets=offsets, delta_max=delta_max, kind=kind, seed=seed)
+    return TrueCpSchedule(offsets=offsets)
 
 
 class BaselineController:
@@ -192,24 +187,16 @@ class BaselineController:
     and saturates at fine pitch below rated (conditional anti-windup).
     """
 
-    def __init__(
-        self,
-        params: TurbineParameters,
-        cp: CpSurface,
-        fine_pitch: float = 0.0,
-        max_pitch: float = math.radians(30.0),
-        kp: float = 3.2,
-        ki: float = 0.65,
-        gain_schedule_pitch: float = math.radians(10.0),
-    ) -> None:
+    fine_pitch = 0.0  # rad
+    max_pitch = math.radians(30.0)
+    kp = 3.2
+    ki = 0.65
+    gain_schedule_pitch = math.radians(10.0)  # the gain halves at this pitch
+
+    def __init__(self, params: TurbineParameters, cp: CpSurface) -> None:
         self.params = params
         self.cp = cp
-        self.fine_pitch = fine_pitch
-        self.max_pitch = max_pitch
-        self.kp = kp
-        self.ki = ki
-        self.gain_schedule_pitch = gain_schedule_pitch
-        self.cp_max, self.lam_star = self._surface_optimum(cp, fine_pitch)
+        self.cp_max, self.lam_star = self._surface_optimum(cp, self.fine_pitch)
         self.k_opt = (
             0.5
             * params.air_density
@@ -218,8 +205,7 @@ class BaselineController:
             * self.cp_max
             / self.lam_star**3
         )
-        self._pitch_int = fine_pitch
-        self._pitch = fine_pitch
+        self.reset()
 
     @staticmethod
     def _surface_optimum(cp: CpSurface, pitch: float) -> tuple[float, float]:
@@ -276,7 +262,6 @@ class PlantTrajectory:
     tau_g: np.ndarray
     cp_true: np.ndarray
     y_meas: np.ndarray
-    dt: float
 
     def write_csv(self, path: str | Path) -> None:
         columns = (self.t, self.omega, self.v_rews, self.pitch, self.tau_g,
@@ -293,7 +278,6 @@ def simulate_plant(
     params: TurbineParameters,
     cp_nominal: CpSurface,
     meas_noise_std: float,
-    controller: BaselineController | None = None,
 ) -> PlantTrajectory:
     """Closed-loop run of the drivetrain against the offset Cp truth.
 
@@ -308,8 +292,7 @@ def simulate_plant(
         raise ValueError(
             f"schedule length {schedule.offsets.size} shorter than run length {n}"
         )
-    if controller is None:
-        controller = BaselineController(params, cp_nominal)
+    controller = BaselineController(params, cp_nominal)
     meas_rng = np.random.default_rng(np.random.SeedSequence([preset.seed, 1]))
     noise = (
         meas_rng.normal(0.0, meas_noise_std, size=n)
@@ -361,5 +344,4 @@ def simulate_plant(
         tau_g=tau_g,
         cp_true=cp_true,
         y_meas=y_meas,
-        dt=preset.dt,
     )

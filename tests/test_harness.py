@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from immwind import (
 )
 from immwind.config import ExperimentConfig
 import immwind.harness as harness
+import immwind.imm as imm
 
 
 def tiny_config(**overrides):
@@ -175,6 +177,21 @@ class TestRunExperiment:
         with pytest.raises(NumericalError, match="every seed failed"):
             run_experiment(tiny_config(seeds=(1, 2)))
 
+    def test_estimator_failure_names_the_step(self, monkeypatch):
+        real = imm.imm_step
+        calls = []
+
+        def failing_at_step_7(bank, y, u):
+            calls.append(y)
+            if len(calls) == 7:  # the loop starts at k = 1
+                raise NumericalError("synthetic failure")
+            return real(bank, y, u)
+
+        monkeypatch.setattr(imm, "imm_step", failing_at_step_7)
+        res = run_experiment(tiny_config(seeds=(1, 2), duration_s=20.0, settle_s=5.0))
+        assert res.failed == ((1, "step 7, t=0.35 s: synthetic failure"),)
+        assert [run.seed for run in res.runs] == [2]
+
     def test_single_kf_equals_imm_with_one_mode(self):
         """The dedicated KF path must match the IMM machinery at m = 1."""
         cfg = tiny_config()
@@ -285,3 +302,37 @@ class TestWriteOutputs:
         with (tmp_path / "failed.csv").open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["seed", "error"], ["2", message]]
+
+    def test_stale_seed_files_removed(self, tmp_path):
+        cfg = tiny_config(duration_s=20.0, settle_s=5.0)
+        write_outputs(run_experiment(dataclasses.replace(cfg, seeds=(1, 2))), tmp_path)
+        foreign = ["notes.txt", "timeseries_best.csv", "hist_2.txt"]
+        for name in foreign:
+            (tmp_path / name).write_text("kept", encoding="utf-8")
+        written = write_outputs(run_experiment(cfg), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [p.name for p in written] + foreign
+        )
+        assert not (tmp_path / "timeseries_2.csv").exists()
+        assert not (tmp_path / "hist_2.csv").exists()
+
+    def test_stale_failed_file_removed(self, tmp_path, monkeypatch):
+        cfg = tiny_config(seeds=(1, 2), duration_s=20.0, settle_s=5.0)
+        real = harness._run_estimators
+
+        def flaky(config, seed):
+            if seed == 2:
+                raise NumericalError("synthetic failure")
+            return real(config, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_estimators", flaky)
+            write_outputs(run_experiment(cfg), tmp_path)
+        assert (tmp_path / "failed.csv").exists()
+        res = run_experiment(cfg)
+        assert res.aggregate.n_failed == 0
+        write_outputs(res, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config_echo.txt", "hist_1.csv", "hist_2.csv", "summary.csv",
+            "timeseries_1.csv", "timeseries_2.csv",
+        ]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from immwind import (
@@ -27,6 +27,7 @@ from immwind import (
     update,
     update_mode_probs,
 )
+from immwind.ekf import correct
 from immwind.imm import MU_FLOOR
 
 from conftest import LinearModel, random_psd
@@ -446,3 +447,88 @@ class TestSimplexInvariants:
             assert abs(out.mu.sum() - 1.0) <= 1e-12
             assert np.all(out.mu >= 0.0)
             assert abs(bank.mu.sum() - 1.0) <= 1e-12
+
+
+def bank_with_one_negative_definite_filter(m, n, p, bad, seed):
+    """m random linear filters with p channels; filter ``bad`` has a negative-definite P."""
+    rng = np.random.default_rng(seed)
+    models = tuple(
+        LinearModel(rng.normal(size=(n, n)), rng.normal(size=(p, n))) for _ in range(m)
+    )
+    states = [EstimatorState(rng.normal(size=n), random_psd(rng, n)) for _ in range(m)]
+    states[bad] = EstimatorState(rng.normal(size=n), -1e3 * (random_psd(rng, n) + np.eye(n)))
+    bank = ModeBank(
+        models=models,
+        states=states,
+        mu=np.full(m, 1.0 / m),
+        transition=symmetric_transition(m, 0.95),
+        noise=NoiseModel(Q=random_psd(rng, n, 0.1), R=random_psd(rng, p) + np.eye(p)),
+    )
+    return bank, rng.normal(size=p)
+
+
+def has_negative_eigenvalue(S):
+    eigs = np.linalg.eigvalsh(S)
+    return eigs.min() < -1e-6 * np.abs(eigs).max()
+
+
+FILTER_SHAPES = dict(
+    m=st.integers(1, 4),
+    n=st.integers(1, 3),
+    p=st.integers(1, 2),
+    bad=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestNonPositiveInnovation:
+    """Every stage that meets an innovation covariance S that is not positive definite raises."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**FILTER_SHAPES)
+    def test_correct_raises_batched_and_single(self, m, n, p, bad, seed):
+        j = bad % m
+        bank, y = bank_with_one_negative_definite_filter(m, n, p, j, seed)
+        H = np.array([model.H for model in bank.models])
+        R = bank.noise.R
+        assume(has_negative_eigenvalue(H[j] @ bank.P[j] @ H[j].T + R))
+        z = y - (H @ bank.x[..., None])[..., 0]
+        with pytest.raises(NumericalError, match="not positive"):
+            correct(bank.x, bank.P, z, H, R)
+        with pytest.raises(NumericalError, match="not positive"):
+            correct(bank.x[j], bank.P[j], z[j], H[j], R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**FILTER_SHAPES)
+    def test_imm_step_raises_and_leaves_bank_unchanged(self, m, n, p, bad, seed):
+        j = bad % m
+        bank, y = bank_with_one_negative_definite_filter(m, n, p, j, seed)
+        F, H = bank.models[j].F, bank.models[j].H
+        S = H @ (F @ bank.P[j] @ F.T + bank.noise.Q) @ H.T + bank.noise.R
+        assume(has_negative_eigenvalue(S))
+        before = {name: getattr(bank, name).copy() for name in ("x", "P", "mu")}
+        with pytest.raises(NumericalError, match="not positive"):
+            imm_step(bank, y, None)
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(bank, name), value)
+        assert bank.underflow_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        negative=st.floats(-10.0, -1e-3),
+        others=st.lists(st.floats(-10.0, 10.0), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(negative=-1.0, others=[-1.0], seed=0)  # S = -I, positive determinant
+    def test_likelihood_raises(self, negative, others, seed):
+        """S with eigenvalues (negative, *others) in a random basis is not positive definite."""
+        rng = np.random.default_rng(seed)
+        n = 1 + len(others)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = Q @ np.diag([negative, *others]) @ Q.T
+        with pytest.raises(NumericalError, match="not positive"):
+            likelihood(rng.normal(size=n), 0.5 * (S + S.T))
+
+    def test_likelihood_raises_for_negative_definite_s_with_off_diagonal(self):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            likelihood([0.5, -0.4], [[-2.0, 0.3], [0.3, -1.0]])
