@@ -27,17 +27,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_run_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="experiment config file")
+        # each override's dest is the config field it replaces
         p.add_argument(
             "--seed",
             type=int,
             action="append",
-            default=None,
+            dest="seeds",
             help="replace the config seed list (repeatable)",
         )
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--scenario", choices=["below", "above"], default=None)
-        p.add_argument("--schedule", choices=["walk", "regime"], default=None)
-        p.add_argument("--delta-cp", type=float, default=None, dest="delta_cp")
+        p.add_argument("--out", dest="out_dir", help="output directory override")
+        p.add_argument("--scenario", choices=["below", "above"])
+        p.add_argument("--schedule", choices=["walk", "regime"])
+        p.add_argument("--delta-cp", type=float, dest="delta_cp")
 
     run_p = sub.add_parser("run", help="run one experiment and write CSV outputs")
     add_run_args(run_p)
@@ -59,18 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    overrides = {}
-    if args.seed:
-        overrides["seeds"] = tuple(args.seed)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.schedule is not None:
-        overrides["schedule"] = args.schedule
-    if args.delta_cp is not None:
-        overrides["delta_cp"] = args.delta_cp
-    return dataclasses.replace(config, **overrides) if overrides else config
+    """The config with every field that a flag set replaced (and re-checked)."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(config, **overrides)
 
 
 def _run_one(config) -> int:
@@ -95,11 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "validate":
-            config.validate()
             print(f"{args.config}: OK")
             return 0
         config = _apply_overrides(config, args)
-        config.validate()
         if args.command == "run":
             return _run_one(config)
         # sweep
@@ -111,16 +105,17 @@ def main(argv: list[str] | None = None) -> int:
             ) from None
         if not deltas:
             raise ConfigError("--delta-cp-list is empty")
-        status = 0
+        # every per-delta config is built (and so checked) before any run
         base_out = Path(config.out_dir)
-        for delta in deltas:
-            sub_cfg = dataclasses.replace(
-                config,
-                delta_cp=delta,
-                out_dir=str(base_out / f"delta_cp_{delta:g}"),
+        sub_cfgs = [
+            dataclasses.replace(
+                config, delta_cp=delta, out_dir=str(base_out / f"delta_cp_{delta:g}")
             )
-            sub_cfg.validate()
-            print(f"--- delta_cp = {delta:g} ---")
+            for delta in deltas
+        ]
+        status = 0
+        for sub_cfg in sub_cfgs:
+            print(f"--- delta_cp = {sub_cfg.delta_cp:g} ---")
             status = max(status, _run_one(sub_cfg))
         return status
     except ConfigError as exc:

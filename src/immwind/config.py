@@ -1,12 +1,14 @@
 """Flat key-value experiment configuration.
 
 The on-disk format is one ``key = value`` per line, ``#`` comments and
-blank lines allowed.  Unknown and duplicate keys are errors, so a
-written config echo always round-trips to the identical experiment.
+blank lines allowed.  Unknown and duplicate keys are errors, and text
+values hold no ``#``, line break or edge whitespace, so a written
+config echo always round-trips to the identical experiment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,10 +27,23 @@ SCENARIO_MEAN_WIND = {"below": 8.0, "above": 15.0}
 # structurally favoured by the likelihoods
 WIND_NOISE_MATCH_FACTOR = 0.7
 
+# ``None`` (auto) passes the positive rule; each value must be finite
+_POSITIVE_KEYS = (
+    "v_op", "duration_s", "q_wind_std", "r_std", "p0_omega_std", "p0_wind_std",
+    "inertia", "radius", "air_density", "omega_rated", "tau_rated",
+)
+_NONNEGATIVE_KEYS = ("schedule_delta_max", "delta_cp", "q_omega_std", "meas_noise_std")
+# written verbatim into the echo, so they must read back unchanged
+_TEXT_KEYS = ("out_dir", "cp_table")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every effective parameter of one experiment, flat and writable."""
+    """Every effective parameter of one experiment, flat and writable.
+
+    Construction (``dataclasses.replace`` too) runs ``validate``, so an
+    instance always holds a valid experiment.
+    """
 
     scenario: str = "below"
     v_op: float | None = None  # None = use the scenario default
@@ -57,17 +72,17 @@ class ExperimentConfig:
     omega_rated: float = TurbineParameters.omega_rated
     tau_rated: float = TurbineParameters.tau_rated
 
+    def __post_init__(self) -> None:
+        # a repeated seed runs once: keep each seed's first occurrence
+        object.__setattr__(self, "seeds", tuple(dict.fromkeys(self.seeds)))
+        self.validate()
+
     # -- derived objects ------------------------------------------------
 
     def effective_v_op(self) -> float:
         if self.v_op is not None:
             return self.v_op
-        try:
-            return SCENARIO_MEAN_WIND[self.scenario]
-        except KeyError:
-            raise ConfigError(
-                f"scenario must be one of {sorted(SCENARIO_MEAN_WIND)}, got {self.scenario!r}"
-            ) from None
+        return SCENARIO_MEAN_WIND[self.scenario]
 
     def effective_q_wind_std(self) -> float:
         if self.q_wind_std is not None:
@@ -116,46 +131,39 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError listing every violated invariant."""
         problems: list[str] = []
+        for name in _POSITIVE_KEYS:
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                problems.append(f"{name} must be positive and finite")
+        for name in _NONNEGATIVE_KEYS:
+            if not 0.0 <= getattr(self, name) < math.inf:
+                problems.append(f"{name} must be nonnegative and finite")
+        for name in _TEXT_KEYS:
+            value = getattr(self, name)
+            if value != value.strip() or "#" in value or len(value.splitlines()) > 1:
+                problems.append(
+                    f"{name} must hold no '#' or line break and no leading or trailing whitespace"
+                )
         if self.scenario not in SCENARIO_MEAN_WIND:
             problems.append(f"scenario must be 'below' or 'above', got {self.scenario!r}")
-        elif self.effective_v_op() <= 0.0:
-            problems.append("v_op must be positive")
         if not 0.0 <= self.turbulence_intensity <= 0.5:
             problems.append("turbulence_intensity must be within [0, 0.5]")
-        if self.duration_s <= 0.0:
-            problems.append("duration_s must be positive")
         if not 0.0 < self.dt <= 0.1:
             problems.append("dt must be in (0, 0.1] s")
         if len(self.seeds) < 1:
             problems.append("at least one seed is required")
         if self.schedule not in ("regime", "walk"):
             problems.append(f"schedule must be 'regime' or 'walk', got {self.schedule!r}")
-        if self.schedule_delta_max < 0.0:
-            problems.append("schedule_delta_max must be nonnegative")
-        if self.delta_cp < 0.0:
-            problems.append("delta_cp must be nonnegative")
         if not 0.0 < self.pi_stay <= 1.0:
             problems.append("pi_stay must be in (0, 1]")
-        if any(w < 0.0 for w in self.mu0):
-            problems.append("mu0 entries must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in self.mu0):
+            problems.append("mu0 entries must be nonnegative and finite")
         elif abs(sum(self.mu0) - 1.0) > 1e-6:
             problems.append(f"mu0 must sum to 1 (got {sum(self.mu0)!r})")
-        if self.q_wind_std is not None and self.q_wind_std <= 0.0:
-            problems.append("q_wind_std must be positive (or auto)")
-        for name in ("r_std", "p0_omega_std", "p0_wind_std"):
-            if getattr(self, name) <= 0.0:
-                problems.append(f"{name} must be positive")
-        if self.q_omega_std < 0.0:
-            problems.append("q_omega_std must be nonnegative")
-        if self.meas_noise_std < 0.0:
-            problems.append("meas_noise_std must be nonnegative")
         if not 0.0 <= self.settle_s < self.duration_s:
             problems.append("settle_s must be within [0, duration_s)")
         if self.hist_bins < 1:
             problems.append("hist_bins must be at least 1")
-        for name in ("inertia", "radius", "air_density", "omega_rated", "tau_rated"):
-            if getattr(self, name) <= 0.0:
-                problems.append(f"{name} must be positive")
         if problems:
             raise ConfigError("; ".join(problems))
 

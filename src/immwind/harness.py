@@ -102,7 +102,6 @@ class EstimatorMetrics:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    seed: int
     imm: EstimatorMetrics
     kf: EstimatorMetrics
 
@@ -238,7 +237,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     A seed whose estimators fail numerically is recorded under
     ``failed`` and skipped by the aggregation; remaining seeds proceed.
     """
-    config.validate()
     settle_idx = int(round(config.settle_s / config.dt))
     raws: list[dict] = []
     failed: list[tuple[int, str]] = []
@@ -273,7 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     runs: list[SeedRun] = []
     for raw, seed_errors in zip(raws, errors):
-        metrics = RunMetrics(seed=raw["seed"], **{
+        metrics = RunMetrics(**{
             name: _estimator_metrics(wind_err, cp_err, settle_idx, edges)
             for name, (wind_err, cp_err) in seed_errors.items()
         })

@@ -294,11 +294,7 @@ def simulate_plant(
         )
     controller = BaselineController(params, cp_nominal)
     meas_rng = np.random.default_rng(np.random.SeedSequence([preset.seed, 1]))
-    noise = (
-        meas_rng.normal(0.0, meas_noise_std, size=n)
-        if meas_noise_std > 0.0
-        else np.zeros(n)
-    )
+    noise = meas_rng.normal(0.0, meas_noise_std, size=n)
 
     omega = np.empty(n)
     pitch = np.empty(n)

@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,3 +236,128 @@ class TestCli:
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path)
         assert main(["sweep", "--config", str(cfg_path), "--delta-cp-list", "a,b"]) == 1
+
+
+FLOAT_KEYS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.type in ("float", "float | None")
+]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _with_line(text, key, raw):
+    """Config text with ``key``'s line replaced by ``key = raw``."""
+    kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join(kept + [f"{key} = {raw}"]) + "\n"
+
+
+class TestBuiltConfigIsValid:
+    def test_every_float_key_is_covered(self):
+        assert len(FLOAT_KEYS) == 19
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: bad})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {bad!r}\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cfg=valid_configs(),
+        key=st.sampled_from(FLOAT_KEYS),
+        bad=st.sampled_from(NON_FINITE),
+    )
+    def test_non_finite_float_rejected_from_any_valid_config(self, cfg, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(cfg, **{key: bad})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(_with_line(format_config(cfg), key, repr(bad)))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_nan_in_mu0_rejected(self, index):
+        mu0 = [0.5, 0.5, 0.5]
+        mu0[index] = math.nan
+        with pytest.raises(ConfigError, match="mu0"):
+            ExperimentConfig(mu0=tuple(mu0))
+        with pytest.raises(ConfigError, match="mu0"):
+            parse_config("mu0 = " + ",".join(repr(w) for w in mu0) + "\n")
+
+    @pytest.mark.parametrize("key", ["out_dir", "cp_table"])
+    @pytest.mark.parametrize(
+        "value",
+        ["runs#1", "#", " padded ", "padded ", "\tpadded", "two\nlines", "two\rlines",
+         "two\x0blines", "two\u2028lines", "end\n"],
+        ids=repr,
+    )
+    def test_text_that_cannot_read_back_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["out_dir", "cp_table"]), value=st.text(max_size=12))
+    def test_accepted_text_reads_back(self, key, value):
+        try:
+            cfg = ExperimentConfig(**{key: value})
+        except ConfigError:
+            return
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_inner_space_and_equals_read_back(self):
+        cfg = ExperimentConfig(out_dir="my runs=1", cp_table="tables/a b.csv")
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_repeated_seed_kept_once_in_first_order(self):
+        assert ExperimentConfig(seeds=(3, 1, 3, 2, 1)).seeds == (3, 1, 2)
+        assert ExperimentConfig(seeds=[2, 2]).seeds == (2,)
+        assert parse_config("seeds = 4,4,1,4\n").seeds == (4, 1)
+
+    def test_repeated_seed_runs_once(self):
+        from immwind import run_experiment
+
+        result = run_experiment(ExperimentConfig(duration_s=20.0, seeds=(1, 1), settle_s=5.0))
+        assert [run.seed for run in result.runs] == [1]
+        assert result.aggregate.n_seeds == 1
+
+
+class TestCliChecksEveryConfig:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_nan_in_file_exits_1(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, out_dir=str(tmp_path / "out"))
+        text = _with_line(cfg_path.read_text(encoding="utf-8"), "r_std", "nan")
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "r_std" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_out_override_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path)
+        out = tmp_path / "runs#1"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_seed_flag_runs_once(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--config", str(cfg_path), "--seed", "5", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        assert "seeds=1 " in capsys.readouterr().out
+        assert load_config(out / "config_echo.txt").seeds == (5,)
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            assert {row["n_seeds"] for row in csv.DictReader(fh)} == {"1"}
+
+    def test_sweep_rejects_negative_delta_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, out_dir=str(tmp_path / "sweep"))
+        code = main(["sweep", "--config", str(cfg_path), "--delta-cp-list", "0.02,-0.01"])
+        assert code == 1
+        assert "delta_cp" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
