@@ -9,6 +9,7 @@ config echo always round-trips to the identical experiment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -73,9 +74,10 @@ class ExperimentConfig:
     tau_rated: float = TurbineParameters.tau_rated
 
     def __post_init__(self) -> None:
+        self.validate()
         # a repeated seed runs once: keep each seed's first occurrence
         object.__setattr__(self, "seeds", tuple(dict.fromkeys(self.seeds)))
-        self.validate()
+        object.__setattr__(self, "mu0", tuple(self.mu0))
 
     # -- derived objects ------------------------------------------------
 
@@ -130,7 +132,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ConfigError listing every violated invariant."""
-        problems: list[str] = []
+        problems = [
+            f"{f.name} must be {_TYPE_RULES[f.type][1]}, got {getattr(self, f.name)!r}"
+            for f in fields(self)
+            if not _TYPE_RULES[f.type][0](getattr(self, f.name))
+        ]
+        if problems:  # the value checks below assume the types
+            raise ConfigError("; ".join(problems))
         for name in _POSITIVE_KEYS:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -166,6 +174,32 @@ class ExperimentConfig:
             problems.append("hist_bins must be at least 1")
         if problems:
             raise ConfigError("; ".join(problems))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (check, description) of the values each field annotation admits; the
+# annotations are strings under ``from __future__ import annotations``
+_TYPE_RULES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or None"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
+        "a sequence of integers",
+    ),
+    "tuple[float, float, float]": (
+        lambda v: isinstance(v, (tuple, list)) and len(v) == 3 and all(map(_is_number, v)),
+        "a sequence of 3 numbers",
+    ),
+}
 
 
 def _parse_float(raw: str) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -62,10 +62,28 @@ class CpSurface:
         ``extra_offset`` is added on top of the surface's own offset; it
         lets a caller probe a shifted surface without constructing one.
         """
-        lam_c = _clamp(lam, *self.lam_bounds)
-        theta_c = _clamp(theta, *self.theta_bounds)
-        val = self._base_value(lam_c, theta_c) + self.offset + extra_offset
+        val = self._clamped_base(lam, theta) + self.offset + extra_offset
         return _clamp(val, 0.0, CP_CEILING)
+
+    def _clamped_base(self, lam: float, theta: float) -> float:
+        return self._base_value(_clamp(lam, *self.lam_bounds), _clamp(theta, *self.theta_bounds))
+
+    def evaluate_offsets(self, lam: float, theta: float, offsets) -> list[float]:
+        """Cp at (lam, theta) of this surface's base map under each offset, from one lookup.
+
+        Entry j equals ``evaluate`` on the surface that has this one's
+        base map and the offset ``offsets[j]`` in place of its own.
+        """
+        base = self._clamped_base(lam, theta)
+        return [_clamp(base + offset, 0.0, CP_CEILING) for offset in offsets]
+
+    def shares_base(self, other: CpSurface) -> bool:
+        """Whether ``other`` differs from this surface in its offset alone."""
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+            if f.name != "offset"
+        )
 
     def partials(self, lam: float, theta: float) -> tuple[float, float]:
         """(dCp/dlam, dCp/dtheta) with theta in radians, as in ``eval_with_partials``."""

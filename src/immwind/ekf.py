@@ -5,16 +5,24 @@ A model is any object with ``f(x, u)``, ``h(x, u)``, ``jac_f(x, u)`` and
 same code serves the 2-state turbine filters and the low-dimensional
 models used in tests.  Filter state is a value: ``predict`` and
 ``update`` return new states and never mutate their inputs.
+
+The paper's filters have two states and one measured channel.  That
+shape runs on a kernel over Python floats (``transition2``,
+``measurement2``, ``propagate2``, ``correct2``), where numpy's per-call
+overhead would outweigh the 2x2 arithmetic; every other shape runs on
+the batched numpy kernel (``propagate``, ``correct``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .turbine import TurbineModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +64,11 @@ class NoiseModel:
             np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
             raise ValueError("R must be strictly positive definite") from exc
+
+    @functools.cached_property
+    def q_entries(self) -> tuple[float, ...]:
+        """Q's entries in row-major order, as floats."""
+        return tuple(self.Q.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +123,109 @@ def correct(
     return x, 0.5 * (P + P.mT), S, L
 
 
+# -- two states, one measured channel: the kernel over Python floats ------
+
+
+def is_scalar2(x: np.ndarray, R: np.ndarray) -> bool:
+    """Whether a filter with state(s) x and measurement covariance R has the float kernel's shape."""
+    return x.shape[-1] == 2 and R.shape == (1, 1)
+
+
+def transition2(model, x0: float, x1: float, u) -> tuple[float, ...]:
+    """f(x) and F of a 2-state model at x = (x0, x1): (f0, f1, F00, F01, F10, F11)."""
+    if type(model) is TurbineModel:
+        return (*model.f_and_jac(x0, x1, u), 0.0, 1.0)
+    x = np.array((x0, x1))
+    f = np.asarray(model.f(x, u), dtype=float).reshape(2).tolist()
+    return (*f, *np.asarray(model.jac_f(x, u), dtype=float).reshape(4).tolist())
+
+
+def measurement2(model, x0: float, x1: float, u) -> tuple[float, float, float]:
+    """h(x) and H's row of a 2-state, one-channel model at x = (x0, x1): (h, H0, H1)."""
+    if type(model) is TurbineModel:  # measures the rotor speed, the first state
+        return x0, 1.0, 0.0
+    x = np.array((x0, x1))
+    h = np.asarray(model.h(x, u), dtype=float).reshape(1).tolist()
+    return (*h, *np.asarray(model.jac_h(x, u), dtype=float).reshape(2).tolist())
+
+
+def propagate2(P, F, Q) -> tuple[float, float, float, float]:
+    """F P F' + Q, symmetrised, for 2x2 matrices given as row-major 4-tuples."""
+    p00, p01, p10, p11 = P
+    f00, f01, f10, f11 = F
+    q00, q01, q10, q11 = Q
+    a00 = f00 * p00 + f01 * p10  # A = F P
+    a01 = f00 * p01 + f01 * p11
+    a10 = f10 * p00 + f11 * p10
+    a11 = f10 * p01 + f11 * p11
+    off = 0.5 * ((a00 * f10 + a01 * f11 + q01) + (a10 * f00 + a11 * f01 + q10))
+    return a00 * f00 + a01 * f01 + q00, off, off, a10 * f10 + a11 * f11 + q11
+
+
+def correct2(x0: float, x1: float, P, z: float, h0: float, h1: float, r: float):
+    """Correction of a 2-state filter by a scalar residual z; P is a row-major 4-tuple.
+
+    Returns (x0, x1, P, S, L0, L1).  Raises NumericalError when the
+    innovation covariance S is not positive or the corrected state or
+    covariance is not finite.
+    """
+    p00, p01, p10, p11 = P
+    c0 = p00 * h0 + p01 * h1  # P H'
+    c1 = p10 * h0 + p11 * h1
+    S = h0 * c0 + h1 * c1 + r
+    if not S > 0.0:
+        raise NumericalError(f"innovation covariance S={S} is not positive")
+    l0 = c0 / S
+    l1 = c1 / S
+    x0 = x0 + l0 * z
+    x1 = x1 + l1 * z
+    m00 = 1.0 - l0 * h0  # I - L H
+    m01 = -(l0 * h1)
+    m10 = -(l1 * h0)
+    m11 = 1.0 - l1 * h1
+    u00 = m00 * p00 + m01 * p10
+    u11 = m10 * p01 + m11 * p11
+    off = 0.5 * ((m00 * p01 + m01 * p11) + (m10 * p00 + m11 * p10))
+    isfinite = math.isfinite
+    if not (isfinite(x0) and isfinite(x1) and isfinite(u00) and isfinite(off) and isfinite(u11)):
+        raise NumericalError(
+            f"state or covariance is not finite after the correction: "
+            f"x=({x0}, {x1}), P=({u00}, {off}, {u11})"
+        )
+    return x0, x1, (u00, off, off, u11), S, l0, l1
+
+
+def scalar_measurement(y) -> float:
+    """A one-channel measurement given as a float or a size-1 array."""
+    if type(y) is float:
+        return y
+    y = np.asarray(y, dtype=float)
+    if y.size != 1:
+        raise ValueError(f"a one-channel filter takes one measurement, got {y.size}")
+    return y.item()
+
+
+def _state2(x0: float, x1: float, P) -> EstimatorState:
+    """The EstimatorState of a float kernel result, built without re-checking its shapes."""
+    state = object.__new__(EstimatorState)
+    vars(state).update(x=np.array((x0, x1)), P=np.array(P).reshape(2, 2))
+    return state
+
+
+# -- value-style filter steps ---------------------------------------------
+
+
+# A single filter takes the float kernel for a turbine model measuring one
+# channel; a generic model's f, jac_f, h and jac_h build arrays anyway, so
+# a single filter on one keeps the numpy kernel.
+
+
 def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorState:
     """Time update: propagate the estimate through f and grow P."""
+    if type(model) is TurbineModel and is_scalar2(state.x, noise.R):
+        x0, x1 = state.x.tolist()
+        f0, f1, *F = transition2(model, x0, x1, u)
+        return _state2(f0, f1, propagate2(state.P.ravel().tolist(), F, noise.q_entries))
     F = model.jac_f(state.x, u)
     x = np.asarray(model.f(state.x, u), dtype=float).reshape(-1)
     return EstimatorState(x, propagate(F, state.P, noise.Q))
@@ -120,7 +234,17 @@ def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorStat
 def update(
     state: EstimatorState, y, u, model, noise: NoiseModel
 ) -> tuple[EstimatorState, UpdateReport]:
-    """Measurement update; raises NumericalError when S is not invertible."""
+    """Measurement update; raises NumericalError when S is not positive
+    definite and, on the float kernel, when the corrected state or
+    covariance is not finite."""
+    if type(model) is TurbineModel and is_scalar2(state.x, noise.R):
+        x0, x1 = state.x.tolist()
+        h, h0, h1 = measurement2(model, x0, x1, u)
+        z = scalar_measurement(y) - h
+        x0, x1, P, S, l0, l1 = correct2(x0, x1, state.P.ravel().tolist(), z, h0, h1, noise.R.item())
+        return _state2(x0, x1, P), UpdateReport(
+            np.array((z,)), np.array(((S,),)), np.array(((l0,), (l1,)))
+        )
     y = np.atleast_1d(np.asarray(y, dtype=float))
     H = model.jac_h(state.x, u)
     z = y - np.asarray(model.h(state.x, u), dtype=float).reshape(-1)

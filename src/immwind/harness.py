@@ -215,7 +215,9 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
         for k in range(1, n):
             u_prev = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
             y_k = float(traj.y_meas[k])
+            estimator = "imm"
             bank, out = imm.imm_step(bank, y_k, u_prev)
+            estimator = "kf"
             pred = ekf.predict(kf_state, u_prev, nominal, noise)
             kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
             v_imm[k] = out.x[1]
@@ -224,7 +226,7 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
             v_kf[k] = kf_state.x[1]
             cp_kf[k] = nominal.cp_at(kf_state.x, u_prev.pitch)
     except NumericalError as exc:
-        raise NumericalError(f"step {k}, t={k * config.dt:.2f} s: {exc}") from exc
+        raise NumericalError(f"{estimator} step {k}, t={k * config.dt:.2f} s: {exc}") from exc
     return dict(
         seed=seed, trajectory=traj, schedule=schedule,
         v_imm=v_imm, cp_imm=cp_imm, mu=mu, v_kf=v_kf, cp_kf=cp_kf,

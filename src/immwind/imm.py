@@ -29,11 +29,14 @@ class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
 
     The filters' states are stored stacked: ``x`` is (m, n) and ``P``
-    is (m, n, n), row j being filter j.  ``mu`` holds the prior mode
-    probabilities for the next measurement; ``offsets`` records each
-    mode's Cp offset for reporting.  ``underflow_count`` counts the
-    cycles since construction whose likelihoods all underflowed to zero
-    (the probabilities are then carried through unchanged).
+    is (m, n, n), row j being filter j.  The constructor takes them as
+    per-filter ``states`` or as the stacked ``x`` and ``P`` (which is
+    how ``dataclasses.replace`` passes them); either way the new bank
+    is validated.  ``mu`` holds the prior mode probabilities for the
+    next measurement; ``offsets`` records each mode's Cp offset for
+    reporting and error messages.  ``underflow_count`` counts the
+    cycles whose likelihoods all underflowed to zero (the probabilities
+    are then carried through unchanged).
     """
 
     models: tuple
@@ -45,32 +48,48 @@ class ModeBank:
     offsets: tuple[float, ...] = ()
     underflow_count: int = 0
 
-    def __init__(self, models, states, mu, transition, noise, offsets=()):
-        x, P = _stacked(states)
+    def __init__(
+        self, models, states=None, mu=None, transition=None, noise=None, offsets=(),
+        *, x=None, P=None, underflow_count=0,
+    ):
+        if mu is None or transition is None or noise is None:
+            raise TypeError("ModeBank needs mu, transition and noise")
+        if states is not None:
+            if x is not None or P is not None:
+                raise TypeError("ModeBank takes per-filter states or stacked x and P, not both")
+            x, P = _stacked(states)
+        elif x is None or P is None:
+            raise TypeError("ModeBank needs per-filter states or stacked x and P")
+        models = tuple(models)
         vars(self).update(
-            models=tuple(models),
-            x=x,
-            P=P,
+            models=models,
+            x=np.array(x, dtype=float),
+            P=np.array(P, dtype=float),
             mu=np.array(mu, dtype=float).reshape(-1),
             transition=np.array(transition, dtype=float),
             noise=noise,
-            offsets=offsets,
-            underflow_count=0,
+            offsets=tuple(offsets),
+            underflow_count=underflow_count,
+            _cp_base=_shared_cp_base(models),
         )
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Validate a caller-built bank; ``imm_step`` derives the next one unchecked."""
-        mu, pi = self.mu, self.transition
+        mu, pi, x = self.mu, self.transition, self.x
         m = len(self.models)
-        if m == 0 or len(self.x) != m or mu.size != m:
+        if m == 0 or len(x) != m or mu.size != m:
             raise ValueError("models, states and mu must have matching length >= 1")
+        if x.ndim != 2 or self.P.shape != (m, x.shape[1], x.shape[1]):
+            raise ValueError(f"stacked x {x.shape} and P {self.P.shape} must be (m, n) and (m, n, n)")
         if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mode probabilities must lie on the simplex, got {mu}")
         if pi.shape != (m, m) or np.any(pi < 0.0):
             raise ValueError("transition matrix must be m x m with nonnegative entries")
         if np.any(np.abs(pi.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError(f"every transition-matrix row must sum to 1, got {pi}")
+        if type(self.underflow_count) is not int or self.underflow_count < 0:
+            raise ValueError(f"underflow_count must be an int >= 0, got {self.underflow_count!r}")
 
     @property
     def states(self) -> tuple[ekf.EstimatorState, ...]:
@@ -84,6 +103,23 @@ class ModeBank:
             vars(self), x=x, P=P, mu=mu, underflow_count=self.underflow_count + int(underflowed)
         )
         return new
+
+    def _mode_name(self, j: int) -> str:
+        if j < len(self.offsets):
+            return f"mode {j} (Cp offset {self.offsets[j]:+g})"
+        return f"mode {j}"
+
+
+def _shared_cp_base(models) -> tuple[TurbineModel, tuple[float, ...]] | None:
+    """(first model, each mode's surface offset) when every mode is a turbine
+    model and the modes differ in their Cp surface's offset alone."""
+    if models and all(
+        isinstance(m, TurbineModel) and m.params == models[0].params
+        and models[0].cp.shares_base(m.cp)
+        for m in models
+    ):
+        return models[0], tuple(m.cp.offset for m in models)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +140,16 @@ def likelihood(z, S) -> float:
         s = float(S[0, 0])
         if not s > 0.0:
             raise NumericalError(f"innovation covariance S={s} is not positive")
-        return math.exp(-0.5 * float(z[0]) ** 2 / s) / math.sqrt(2.0 * math.pi * s)
+        return _likelihood1(float(z[0]), s)
     ekf.check_positive_definite(S)
     det = float(np.linalg.det(S))
     quad = float(z @ np.linalg.solve(S, z))
     return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** z.size * det)
+
+
+def _likelihood1(z: float, s: float) -> float:
+    """The one-channel likelihood for S = s > 0; z * z overflows to inf where z ** 2 raises."""
+    return math.exp(-0.5 * z * z / s) / math.sqrt(2.0 * math.pi * s)
 
 
 def update_mode_probs(mu: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
@@ -183,26 +224,105 @@ def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
 
     Uses the bank's stored probabilities unless ``mu`` is supplied
     (``imm_step`` passes the posterior of the current cycle).  Each
-    mode's ``TurbineModel.cp_at`` raises the state to the domain floors.
-    Returns NaN when the bank's models are not turbine models.
+    mode's Cp is ``TurbineModel.cp_at``, which raises the state to the
+    domain floors; modes whose surfaces differ in offset alone share one
+    lookup.  Returns NaN when the bank's models are not turbine models.
     """
     if mu is None:
         mu = bank.mu
-    if not all(isinstance(m, TurbineModel) for m in bank.models):
+    if bank._cp_base is not None:
+        model, offsets = bank._cp_base
+        values = model.cp_at_offsets(x, pitch, offsets)
+    elif all(isinstance(m, TurbineModel) for m in bank.models):
+        values = [model.cp_at(x, pitch) for model in bank.models]
+    else:
         return math.nan
     total = 0.0
-    for w, model in zip(mu, bank.models):
-        total += float(w) * model.cp_at(x, pitch)
+    for w, cp in zip(mu, values):
+        total += float(w) * cp
     return total
+
+
+def _mix2(w, posts) -> tuple[float, float, tuple[float, float, float, float]]:
+    """Weight-mixed state and spread-corrected covariance of 2-state filters.
+
+    ``posts`` holds (x0, x1, P) per filter, P a symmetric row-major
+    4-tuple; the mixed P is symmetric by construction.
+    """
+    x0 = x1 = 0.0
+    for wi, (a0, a1, _) in zip(w, posts):
+        x0 += wi * a0
+        x1 += wi * a1
+    p00 = p01 = p11 = 0.0
+    for wi, (a0, a1, (q00, q01, _, q11)) in zip(w, posts):
+        d0 = a0 - x0
+        d1 = a1 - x1
+        p00 += wi * (q00 + d0 * d0)
+        p01 += wi * (q01 + d0 * d1)
+        p11 += wi * (q11 + d1 * d1)
+    return x0, x1, (p00, p01, p01, p11)
+
+
+def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
+    """``imm_step`` for 2-state filters measuring one channel, over Python floats."""
+    Q = bank.noise.q_entries
+    r = bank.noise.R.item()
+    mu = bank.mu.tolist()
+    posts, weighted = [], []
+    for j, (model, (x0, x1), P) in enumerate(zip(bank.models, bank.x.tolist(), bank.P.tolist())):
+        try:
+            f0, f1, *F = ekf.transition2(model, x0, x1, u)
+            P = ekf.propagate2((*P[0], *P[1]), F, Q)
+            h, h0, h1 = ekf.measurement2(model, f0, f1, u)
+            z = y - h
+            x0, x1, P, S, _, _ = ekf.correct2(f0, f1, P, z, h0, h1, r)
+        except NumericalError as exc:
+            raise NumericalError(f"{bank._mode_name(j)}: {exc}") from exc
+        posts.append((x0, x1, P))
+        weighted.append(mu[j] * _likelihood1(z, S))
+    # Bayes: floored posterior, or the prior carried over if every likelihood underflowed
+    total = sum(weighted)
+    underflow = not total > 0.0
+    if underflow:
+        post = mu
+    else:
+        post = [max(w / total, MU_FLOOR) for w in weighted]
+        total = sum(post)
+        post = [p / total for p in post]
+
+    xc0, xc1, (pc00, pc01, _, pc11) = _mix2(post, posts)  # combination: one weight column
+    x_c = np.array((xc0, xc1))
+    cp_hat = estimate_cp(bank, x_c, getattr(u, "pitch", 0.0), mu=post)
+
+    pi = bank.transition.tolist()
+    m = len(post)
+    prior = [sum(pi[i][j] * post[i] for i in range(m)) for j in range(m)]
+    if not min(prior) > 0.0:
+        raise NumericalError(f"predicted mode probabilities contain zeros: {prior}")
+    mixed = [_mix2([pi[i][j] * post[i] / prior[j] for i in range(m)], posts) for j in range(m)]
+    out = ImmOutput(x_c, np.array(((pc00, pc01), (pc01, pc11))), np.array(post), cp_hat)
+    x = np.array([(a0, a1) for a0, a1, _ in mixed])
+    P = np.array([P for _, _, P in mixed]).reshape(m, 2, 2)
+    return bank._advanced(x, P, np.array(prior), underflow), out
 
 
 def imm_step(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
     """One full IMM cycle; returns the next bank and the combined output.
 
-    Every filter's model is evaluated on its own, then the covariance
-    algebra runs once over the stacked filters.  On any filter failure
-    the exception propagates and the caller's bank value is untouched.
+    ``y`` is a float or an array with one entry per measured channel.
+    Filters with two states and one measured channel run on the float
+    kernel, which names the failing mode in a NumericalError; other
+    shapes run on the batched numpy kernel.  On any filter failure the
+    exception propagates and the caller's bank value is untouched.
     """
+    if ekf.is_scalar2(bank.x, bank.noise.R):
+        return _imm_step2(bank, ekf.scalar_measurement(y), u)
+    return _imm_step_batched(bank, y, u)
+
+
+def _imm_step_batched(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
+    """``imm_step`` for any shape: every filter's model is evaluated on its
+    own, then the covariance algebra runs once over the stacked filters."""
     models, m = bank.models, len(bank.models)
     F = np.array([model.jac_f(xj, u) for model, xj in zip(models, bank.x)], dtype=float)
     x = np.array([model.f(xj, u) for model, xj in zip(models, bank.x)], dtype=float).reshape(m, -1)

@@ -101,8 +101,17 @@ def _aero(
     """(Cp, aerodynamic torque) at a state checked against the floors."""
     _check_floors(omega, v)
     cp_val = cp.evaluate(omega * params.radius / v, pitch, extra_cp_offset)
+    return cp_val, _torque(omega, v, cp_val, params)
+
+
+def _torque(omega: float, v: float, cp_val: float, params: TurbineParameters) -> float:
     k = 0.5 * params.air_density * math.pi * params.radius**2
-    return cp_val, k * cp_val * v**3 / omega
+    return k * cp_val * v**3 / omega
+
+
+def _euler(omega: float, tau_a: float, torque: float, params: TurbineParameters) -> float:
+    """The next rotor speed, raised to the floor."""
+    return max(omega + params.dt / params.inertia * (tau_a - torque), OMEGA_FLOOR)
 
 
 def aero_torque(
@@ -139,8 +148,7 @@ def _step_core(
 ) -> tuple[float, float]:
     """(next rotor speed, the Cp that drove the step)."""
     cp_val, tau_a = _aero(omega, v, pitch, params, cp, extra_cp_offset)
-    omega_next = omega + params.dt / params.inertia * (tau_a - torque)
-    return max(omega_next, OMEGA_FLOOR), cp_val
+    return _euler(omega, tau_a, torque, params), cp_val
 
 
 def jacobian_f(
@@ -159,11 +167,18 @@ def _jacobian_core(
     omega: float, v: float, pitch: float, params: TurbineParameters, cp: CpSurface
 ) -> np.ndarray:
     cp_val, dcp_dlam, _ = cp.eval_with_partials(omega * params.radius / v, pitch)
+    return np.array([_jacobian_row(omega, v, cp_val, dcp_dlam, params), (0.0, 1.0)])
+
+
+def _jacobian_row(
+    omega: float, v: float, cp_val: float, dcp_dlam: float, params: TurbineParameters
+) -> tuple[float, float]:
+    """The Jacobian's top row: d omega_next / d omega and d omega_next / d v."""
     k = 0.5 * params.air_density * math.pi * params.radius**2
     dtau_domega = k * v**2 * params.radius * dcp_dlam / omega - k * cp_val * v**3 / omega**2
     dtau_dv = 3.0 * k * cp_val * v**2 / omega - k * params.radius * v * dcp_dlam
     a = params.dt / params.inertia
-    return np.array([[1.0 + a * dtau_domega, a * dtau_dv], [0.0, 1.0]])
+    return 1.0 + a * dtau_domega, a * dtau_dv
 
 
 def measure(x: StateVector) -> float:
@@ -198,10 +213,27 @@ class TurbineModel:
     def jac_f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp)
 
+    def f_and_jac(self, x0: float, x1: float, u: ControlInput) -> tuple[float, float, float, float]:
+        """``f`` and ``jac_f`` at the state (x0, x1) as floats, from one Cp lookup.
+
+        Returns (f0, f1, F00, F01), equal bit for bit to ``f(x, u)`` and
+        the top row of ``jac_f(x, u)``; F's bottom row is always (0, 1).
+        """
+        omega, v = _floored((x0, x1))
+        params = self.params
+        cp_val, dcp_dlam, _ = self.cp.eval_with_partials(omega * params.radius / v, u.pitch)
+        omega_next = _euler(omega, _torque(omega, v, cp_val, params), u.torque, params)
+        return (omega_next, v, *_jacobian_row(omega, v, cp_val, dcp_dlam, params))
+
     def cp_at(self, x: np.ndarray, pitch: float) -> float:
         """Cp of this model's surface at the filter state ``x``."""
         omega, v = _floored(x)
         return self.cp.evaluate(omega * self.params.radius / v, pitch)
+
+    def cp_at_offsets(self, x: np.ndarray, pitch: float, offsets) -> list[float]:
+        """``cp_at`` on this surface with each offset in ``offsets``, from one Cp lookup."""
+        omega, v = _floored(x)
+        return self.cp.evaluate_offsets(omega * self.params.radius / v, pitch, offsets)
 
     def h(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return np.array([float(x[0])])

@@ -307,6 +307,15 @@ class TestBuiltConfigIsValid:
         cfg = ExperimentConfig(out_dir="my runs=1", cp_table="tables/a b.csv")
         assert parse_config(format_config(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu0", (0.5, 0.5)), ("hist_bins", 2.5), ("seeds", (1.5,)), ("v_op", "8"),
+         ("seeds", 3), ("scenario", None), ("hist_bins", True)],
+    )
+    def test_wrong_type_or_length_rejected_when_built(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value})
+
     def test_repeated_seed_kept_once_in_first_order(self):
         assert ExperimentConfig(seeds=(3, 1, 3, 2, 1)).seeds == (3, 1, 2)
         assert ExperimentConfig(seeds=[2, 2]).seeds == (2,)

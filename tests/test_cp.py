@@ -266,3 +266,27 @@ def test_fused_lookup_obeys_the_clamp_rules(kind, lam, theta, offset):
         assert d_lam == 0.0
     if not th_lo <= theta <= th_hi:
         assert d_theta == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SURFACES)),
+    lam=st.floats(-5.0, 30.0),
+    theta=st.floats(-0.5, 1.0),
+    offsets=st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=4),
+)
+def test_one_lookup_serves_every_offset(kind, lam, theta, offsets):
+    """Entry j equals ``evaluate`` on the surface with offset j, bit for bit, across the clamps."""
+    surf = SURFACES[kind].with_offset(0.1)
+    got = surf.evaluate_offsets(lam, theta, offsets)
+    want = [SURFACES[kind].with_offset(d).evaluate(lam, theta) for d in offsets]
+    assert got == want
+    assert all(surf.shares_base(SURFACES[kind].with_offset(d)) for d in offsets)
+
+
+def test_shares_base_tells_surfaces_apart():
+    grid = default_grid_surface()
+    assert grid.shares_base(grid.with_offset(0.04))
+    assert not grid.shares_base(AnalyticCpSurface())
+    assert not grid.shares_base(quad_grid())
+    assert not AnalyticCpSurface().shares_base(AnalyticCpSurface(lam_bounds=(1.0, 20.0)))

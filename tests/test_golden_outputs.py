@@ -18,19 +18,19 @@ from immwind.cp import default_grid_surface
 
 GOLDEN = {
     "below": {
-        "summary.csv": "58243360db9e9d316d797ca13c914137177162e748e92071dbfb911484c87d0d",
-        "timeseries_1.csv": "c1507b350eef8dff7dad0e3d5d619c4e065dccb7dd59f16bc75ae9aab8b96390",
-        "hist_1.csv": "e74b1efe28fad9d110b8a36501ca34af88df7759a6b9c000aae1aa3b5ac923cf",
-        "timeseries_2.csv": "f69727ab0ed76d860d4ca59bcf7310cbcd4de1b723d78cf7daabef804267ad05",
-        "hist_2.csv": "9728b0f30b3c12a250164151bbab93262e7026651eb66c49aea62d6262ab0dde",
+        "summary.csv": "614fe859795aa75ff4e3be35359dab767a9af749c4f2e87d04d1a674aa1358d2",
+        "timeseries_1.csv": "7774a8a24062e3a708a635a65f32faba3cb3d75fad7eafecbd234a80d267da09",
+        "hist_1.csv": "3889eba7502439064f268b1efaff39a4df29036c9154db7edd037555f9f15784",
+        "timeseries_2.csv": "bf96695bd5b82e8d1a283d313a5953723fde4203c6853c8f6604abb2551d65ee",
+        "hist_2.csv": "e6ebd9d4eaf8d511bae91bf438006482f3e575e0b51f0e2da68d164e37f985e9",
         "config_echo.txt": "b339b9dabd0cc7786d6ad41069f6a6f3f8be1743a4d479da9188b9d2c136de98",
     },
     "above": {
-        "summary.csv": "29ef12cd78fde61e613bd886f980e49d2b2bb4395ad33d684262d83a24a1db50",
-        "timeseries_1.csv": "bfaa347f9daaf4896bf5a9e32a4ffc766bf1e713acba8b15343ae3579ee3c827",
-        "hist_1.csv": "542b8ed39de7d1b697dac5caf426c3a167ea481dc4d978cad4242f083d53cef5",
-        "timeseries_2.csv": "a974e55d9d11887c77904586edc1ff3b818e23657020972684e95c4edb47284a",
-        "hist_2.csv": "b384a4f453169c1a0fd0a9a5ec1b8c472477cca3ed24330795d9cfb8388d2e8a",
+        "summary.csv": "dc11e99b5f3d2aa147894d173605cb9cdc2460bf1f0e7149238ea8d84e072771",
+        "timeseries_1.csv": "e1afc703de39b990e075de3f6f37ef09dc4cac5d3ff20317eddb765572b2abae",
+        "hist_1.csv": "a45315ff9985a1794fa718c93a2fc1ae1dbc205b5f789686bcf7ec2c06b909f2",
+        "timeseries_2.csv": "14d4e246a731caa590e7481bc79561c37386b18abf89eb31a6411219ee82afbe",
+        "hist_2.csv": "251dc902fab58a7748dbd78f26f9c0e0152b9ea3be68aa3f0a7aa69f7ca1dc53",
         "config_echo.txt": "b2c2fbfd7e3ffd083cf7ad98e52338c4dec9191b36c2eb24b92a4f5307a5de13",
     },
 }

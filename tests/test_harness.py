@@ -21,6 +21,7 @@ from immwind import (
 )
 from immwind.config import ExperimentConfig
 import immwind.harness as harness
+import immwind.ekf as ekf
 import immwind.imm as imm
 
 
@@ -189,8 +190,39 @@ class TestRunExperiment:
 
         monkeypatch.setattr(imm, "imm_step", failing_at_step_7)
         res = run_experiment(tiny_config(seeds=(1, 2), duration_s=20.0, settle_s=5.0))
-        assert res.failed == ((1, "step 7, t=0.35 s: synthetic failure"),)
+        assert res.failed == ((1, "imm step 7, t=0.35 s: synthetic failure"),)
         assert [run.seed for run in res.runs] == [2]
+
+    def test_failure_names_the_estimator(self, monkeypatch):
+        real = ekf.update
+        calls = []
+
+        def failing_at_step_3(state, y, u, model, noise):
+            calls.append(y)
+            if len(calls) == 3:
+                raise NumericalError("synthetic failure")
+            return real(state, y, u, model, noise)
+
+        monkeypatch.setattr(ekf, "update", failing_at_step_3)
+        res = run_experiment(tiny_config(seeds=(1, 2), duration_s=20.0, settle_s=5.0))
+        assert res.failed == ((1, "kf step 3, t=0.15 s: synthetic failure"),)
+
+    def test_kernel_failure_names_estimator_step_and_mode(self, monkeypatch):
+        """A measurement that turns NaN at step 5 fails the IMM's first mode there."""
+        real = harness.simulate_plant
+
+        def nan_at_step_5(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            traj.y_meas[5] = math.nan
+            return traj
+
+        monkeypatch.setattr(harness, "simulate_plant", nan_at_step_5)
+        with pytest.raises(NumericalError) as failure:
+            run_experiment(tiny_config(seeds=(1,), duration_s=20.0, settle_s=5.0))
+        assert str(failure.value).startswith(
+            "every seed failed: 1: imm step 5, t=0.25 s: mode 0 (Cp offset +0): "
+            "state or covariance is not finite after the correction"
+        )
 
     def test_single_kf_equals_imm_with_one_mode(self):
         """The dedicated KF path must match the IMM machinery at m = 1."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from immwind import (
     ControlInput,
     EstimatorState,
+    GridCpSurface,
     ModeBank,
     NoiseModel,
     NumericalError,
@@ -62,6 +63,9 @@ class TestLikelihood:
 
     def test_variance_scaling(self):
         assert likelihood(0.0, 4.0) == pytest.approx(1.0 / math.sqrt(8 * math.pi), rel=1e-12)
+
+    def test_huge_residual_underflows_to_zero(self):
+        assert likelihood(1e200, 1.0) == 0.0
 
     def test_nonpositive_innovation_covariance(self):
         with pytest.raises(NumericalError):
@@ -350,6 +354,33 @@ class TestEstimateCp:
             grid_surface.evaluate(lam, 0.0), abs=1e-12
         )
 
+    def test_one_shared_lookup_equals_the_per_mode_sum(self, params, grid_surface):
+        """Offsets large enough to engage the value clamp at both ends."""
+        bank = build_cp_mode_bank(
+            params, grid_surface, 0.45, NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),
+            np.array([0.72, 8.0]), np.diag([0.01, 4.0]), PAPER_PI, [0.2, 0.5, 0.3],
+        )
+        assert bank._cp_base is not None
+        for x in ([0.72, 8.0], [0.01, 30.0], [2.0, 0.1]):
+            want = 0.0
+            for w, model in zip(bank.mu, bank.models):
+                want += float(w) * model.cp_at(np.array(x), 0.05)
+            assert estimate_cp(bank, np.array(x), 0.05) == want
+
+    def test_models_on_different_surfaces_look_up_each(self, params, grid_surface):
+        surfaces = (grid_surface, grid_surface.with_offset(0.04), GridCpSurface.constant(0.3))
+        bank = ModeBank(
+            models=[TurbineModel(params, s) for s in surfaces],
+            states=(EstimatorState([0.72, 8.0], np.eye(2)),) * 3,
+            mu=[0.2, 0.5, 0.3], transition=PAPER_PI,
+            noise=NoiseModel(Q=np.eye(2), R=[[1.0]]),
+        )
+        assert bank._cp_base is None
+        x = np.array([0.72, 8.0])
+        lam = 0.72 * params.radius / 8.0
+        want = 0.2 * grid_surface.evaluate(lam, 0.0) + 0.5 * (grid_surface.evaluate(lam, 0.0) + 0.04)
+        assert estimate_cp(bank, x, 0.0) == pytest.approx(want + 0.3 * 0.3, rel=1e-12)
+
     def test_models_without_surface_give_nan(self):
         bank = linear_bank()
         assert math.isnan(estimate_cp(bank, np.array([1.0, 8.0]), 0.0))
@@ -420,6 +451,30 @@ class TestBankValue:
         for name in ("x", "P", "mu", "underflow_count"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(bank, name, None)
+
+    def test_replace_builds_a_validated_bank(self):
+        bank, _ = imm_step(linear_bank(seed=6), 1e9, None)  # one underflow counted
+        new = dataclasses.replace(bank, mu=[0.2, 0.3, 0.5])
+        np.testing.assert_array_equal(new.mu, [0.2, 0.3, 0.5])
+        for name in ("x", "P", "transition"):
+            np.testing.assert_array_equal(getattr(new, name), getattr(bank, name))
+        assert new.models == bank.models and new.underflow_count == 1
+        with pytest.raises(ValueError, match="simplex"):
+            dataclasses.replace(bank, mu=[0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="must be"):
+            dataclasses.replace(bank, P=bank.P[:, :1])
+
+    def test_states_or_stacked_arrays_not_both(self):
+        bank = linear_bank()
+        rest = dict(mu=bank.mu, transition=bank.transition, noise=bank.noise)
+        with pytest.raises(TypeError, match="not both"):
+            ModeBank(models=bank.models, states=bank.states, x=bank.x, P=bank.P, **rest)
+        with pytest.raises(TypeError, match="needs per-filter states"):
+            ModeBank(models=bank.models, x=bank.x, **rest)
+        with pytest.raises(TypeError, match="needs mu"):
+            ModeBank(models=bank.models, states=bank.states, mu=bank.mu, noise=bank.noise)
+        positional = ModeBank(bank.models, bank.states, bank.mu, bank.transition, bank.noise)
+        np.testing.assert_array_equal(positional.P, bank.P)
 
     def test_validated_once_per_caller_built_bank(self, monkeypatch):
         calls = []

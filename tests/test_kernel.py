@@ -1,0 +1,184 @@
+"""The float kernel for 2-state, one-channel filters against the batched numpy path.
+
+``imm_step`` runs banks of this shape on the float kernel; the batched
+kernel (``imm._imm_step_batched``) is the reference.  The two evaluate
+the same formulas in a different order, so they agree to rounding:
+states and covariances normwise to RTOL of their scale, and mode
+probabilities to MU_ATOL.  A combined or mixed covariance holds spread
+terms d d' of states of size |x|, whose rounding is of order eps |x|^2,
+so covariances are compared at the scale max(|P|, |x|^2).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from immwind import (
+    ControlInput,
+    EstimatorState,
+    ModeBank,
+    NoiseModel,
+    NumericalError,
+    build_cp_mode_bank,
+    imm_step,
+    predict,
+    symmetric_transition,
+    update,
+)
+from immwind import imm
+from immwind.imm import MU_FLOOR
+
+from conftest import LinearModel, random_psd
+
+RTOL = 1e-9  # normwise, relative to the scale of the reference
+MU_ATOL = 1e-9  # z^2 / S amplifies last-bit differences in S
+
+
+def close(got, want, scale=0.0):
+    """Normwise agreement to RTOL of max(|want|, scale)."""
+    want = np.asarray(want)
+    scale = max(float(np.abs(want).max()), scale, 1e-300)
+    assert float(np.abs(np.asarray(got) - want).max()) <= RTOL * scale
+
+
+def random_bank(seed, m, singular, mu_at_floor):
+    """m random 2-state filters measuring one general channel."""
+    rng = np.random.default_rng(seed)
+    models = tuple(
+        LinearModel(np.eye(2) + 0.3 * rng.normal(size=(2, 2)), rng.normal(size=(1, 2)))
+        for _ in range(m)
+    )
+    P = np.stack([random_psd(rng, 2) for _ in range(m)])
+    if singular:  # rank one up to 1e-12 of its trace
+        v = rng.normal(size=2)
+        P[0] = np.outer(v, v) + 1e-12 * (v @ v) * np.eye(2)
+    mu = rng.uniform(0.05, 1.0, m)
+    if mu_at_floor and m > 1:
+        mu = np.full(m, MU_FLOOR)
+        mu[0] = 1.0 - (m - 1) * MU_FLOOR
+    return ModeBank(
+        models=models,
+        x=rng.normal(size=(m, 2)),
+        P=P,
+        mu=mu / mu.sum(),
+        transition=symmetric_transition(m, rng.uniform(0.5, 1.0)),
+        noise=NoiseModel(Q=random_psd(rng, 2, 0.1), R=[[rng.uniform(0.01, 2.0)]]),
+    )
+
+
+class TestFloatKernelMatchesBatched:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        singular=st.booleans(),
+        mu_at_floor=st.booleans(),
+        y_scale=st.sampled_from([1.0, 30.0, 1e9]),
+    )
+    @example(seed=1, m=3, singular=False, mu_at_floor=False, y_scale=1e9)  # all underflow
+    @example(seed=2, m=3, singular=True, mu_at_floor=True, y_scale=1.0)
+    def test_cycles_agree(self, seed, m, singular, mu_at_floor, y_scale):
+        fast = slow = random_bank(seed, m, singular, mu_at_floor)
+        rng = np.random.default_rng(seed + 1)
+        # one cycle for the all-underflow shock: after it the filters sit at
+        # 1e9 with covariances so ill-conditioned that rounding dominates
+        for _ in range(1 if y_scale == 1e9 else 4):
+            y = y_scale * rng.normal()
+            x_scale = max(abs(y), float(np.abs(slow.x).max()))
+            fast, out_fast = imm_step(fast, y, None)
+            slow, out_slow = imm._imm_step_batched(slow, y, None)
+            x_scale = max(x_scale, float(np.abs(slow.x).max()))
+            close(out_fast.x, out_slow.x, x_scale)
+            close(out_fast.P, out_slow.P, x_scale**2)
+            close(fast.x, slow.x, x_scale)
+            close(fast.P, slow.P, x_scale**2)
+            np.testing.assert_allclose(out_fast.mu, out_slow.mu, rtol=0, atol=MU_ATOL)
+            np.testing.assert_allclose(fast.mu, slow.mu, rtol=0, atol=MU_ATOL)
+            assert fast.underflow_count == slow.underflow_count
+            assert out_fast.mu.min() >= MU_FLOOR * (1 - 1e-9) or fast.underflow_count
+        if y_scale == 1e9:
+            assert fast.underflow_count == 1
+
+    def test_measurement_as_float_or_size_one_array(self):
+        bank = random_bank(3, 3, False, False)
+        for y in (0.4, np.array([0.4]), np.array([[0.4]])):
+            _, out = imm_step(bank, y, None)
+            np.testing.assert_array_equal(out.x, imm_step(bank, 0.4, None)[1].x)
+        with pytest.raises(ValueError, match="one measurement"):
+            imm_step(bank, np.array([0.4, 0.5]), None)
+
+
+class TestTurbineFilter:
+    def test_predict_and_update_match_the_numpy_formulas(self, params, grid_surface):
+        """predict/update on a turbine model equal the textbook matrix cycle to rounding."""
+        bank = build_cp_mode_bank(
+            params, grid_surface, 0.04, NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-6]]),
+            np.array([0.72, 8.0]), np.diag([0.01, 4.0]), np.eye(3), np.array([1.0, 0.0, 0.0]),
+        )
+        model, noise = bank.models[0], bank.noise
+        state = EstimatorState(bank.x[0], bank.P[0])
+        u = ControlInput(0.02, 5e6)
+        for k in range(30):
+            y = 0.72 + 1e-3 * math.sin(0.4 * k)
+            x, P = state.x, state.P
+            state = predict(state, u, model, noise)
+            F = model.jac_f(x, u)
+            close(state.x, model.f(x, u))
+            close(state.P, 0.5 * (F @ P @ F.T + noise.Q + (F @ P @ F.T + noise.Q).T))
+            x, P = state.x, state.P
+            state, report = update(state, y, u, model, noise)
+            S = P[0, 0] + noise.R[0, 0]
+            L = P[:, :1] / S
+            close(report.innovation_cov, [[S]])
+            close(report.gain, L)
+            close(state.x, x + L[:, 0] * (y - x[0]))
+            P = (np.eye(2) - L @ [[1.0, 0.0]]) @ P
+            close(state.P, 0.5 * (P + P.T))
+
+
+class TestFailureNamesTheMode:
+    def bank(self, params, grid_surface, P):
+        noise = NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]])
+        bank = build_cp_mode_bank(
+            params, grid_surface, 0.04, noise, np.array([0.72, 8.0]), np.diag([0.01, 4.0]),
+            symmetric_transition(3, 0.99), np.full(3, 1 / 3),
+        )
+        return ModeBank(models=bank.models, x=bank.x, P=P, mu=bank.mu,
+                        transition=bank.transition, noise=noise, offsets=bank.offsets)
+
+    def test_innovation_covariance_not_positive(self, params, grid_surface):
+        P = np.stack([np.diag([0.01, 4.0])] * 3)
+        P[2] = -P[2]
+        bank = self.bank(params, grid_surface, P)
+        with pytest.raises(NumericalError, match=r"^mode 2 \(Cp offset -0\.04\): innovation "
+                                                 r"covariance S=-[0-9.e-]+ is not positive$"):
+            imm_step(bank, 0.72, ControlInput(0.0, 5e6))
+
+    def test_overflow_in_the_correction_raises_at_its_step(self):
+        """A finite covariance whose corrected wind variance overflows to -inf."""
+        model = LinearModel(np.eye(2), [[1.0, 0.0]])
+        P = np.stack([np.eye(2), [[1.0, 1e200], [1e200, 1e300]]])
+        bank = ModeBank(models=(model, model), x=np.zeros((2, 2)), P=P, mu=[0.5, 0.5],
+                        transition=np.eye(2), noise=NoiseModel(Q=np.eye(2), R=[[1.0]]))
+        with pytest.raises(NumericalError, match=r"^mode 1: state or covariance is not finite "
+                                                 r"after the correction: x=\(.*\), P=\(.*-inf"):
+            imm_step(bank, 0.5, None)
+
+    def test_nan_measurement_raises(self, params, grid_surface):
+        bank = self.bank(params, grid_surface, np.stack([np.diag([0.01, 4.0])] * 3))
+        with pytest.raises(NumericalError, match=r"^mode 0 \(Cp offset \+0\): state or covariance"):
+            imm_step(bank, math.nan, ControlInput(0.0, 5e6))
+        with pytest.raises(NumericalError, match="not finite"):
+            update(EstimatorState(bank.x[0], bank.P[0]), math.nan, None, bank.models[0], bank.noise)
+
+    def test_generic_bank_names_the_index(self):
+        bank = random_bank(5, 3, False, False)
+        P = bank.P.copy()
+        P[1] = -1e6 * np.eye(2)
+        bank = ModeBank(models=bank.models, x=bank.x, P=P, mu=bank.mu,
+                        transition=bank.transition, noise=bank.noise)
+        with pytest.raises(NumericalError, match=r"^mode 1: innovation covariance"):
+            imm_step(bank, 0.1, None)

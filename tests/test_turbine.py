@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from immwind import (
     ControlInput,
@@ -186,3 +188,36 @@ class TestTurbineModel:
             np.testing.assert_array_equal(model.jac_f(x, u), jacobian_f(floored, u, params, surf))
             lam = floored.omega * params.radius / floored.v
             assert model.cp_at(x, u.pitch) == surf.evaluate(lam, u.pitch)
+
+
+class TestFusedStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        omega=st.floats(-1.0, 3.0),
+        v=st.floats(-5.0, 60.0),
+        pitch=st.floats(-0.3, 0.9),
+        torque=st.floats(0.0, 2e7),
+        offset=st.sampled_from([0.0, 0.04, -0.6, 0.5]),
+        kind=st.sampled_from(["analytic", "grid"]),
+    )
+    @example(omega=0.0, v=0.1, pitch=0.0, torque=0.0, offset=0.0, kind="grid")  # both floors
+    @example(omega=3.0, v=0.5, pitch=0.1, torque=0.0, offset=0.0, kind="grid")  # lambda above
+    @example(omega=0.05, v=60.0, pitch=-0.2, torque=0.0, offset=0.0, kind="analytic")  # below
+    def test_equals_f_and_jac_f_bit_for_bit(
+        self, params, analytic_surface, grid_surface, omega, v, pitch, torque, offset, kind
+    ):
+        surface = {"analytic": analytic_surface, "grid": grid_surface}[kind]
+        model = TurbineModel(params, surface.with_offset(offset))
+        x = np.array([omega, v])
+        u = ControlInput(pitch, torque)
+        F = model.jac_f(x, u)
+        want = (*model.f(x, u).tolist(), *F[0].tolist())
+        got = model.f_and_jac(omega, v, u)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert F[1].tolist() == [0.0, 1.0]
+
+    def test_cp_at_offsets_equals_cp_at(self, params, grid_surface):
+        x = np.array([0.001, 40.0])  # omega below its floor, lambda below the grid
+        models = [TurbineModel(params, grid_surface.with_offset(d)) for d in (0.0, 0.3, -0.4)]
+        got = models[0].cp_at_offsets(x, 0.1, [m.cp.offset for m in models])
+        assert got == [m.cp_at(x, 0.1) for m in models]
