@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import math
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +32,16 @@ _C5 = 21.0
 _C6 = 0.0068
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
-
-
 class CpSurface:
     """Common evaluation contract for Cp surfaces.
 
-    Subclasses implement ``_base_value`` and ``_base_with_partials`` on
-    the un-offset base map at inputs already clamped to the bounds.
-    ``evaluate`` and ``eval_with_partials`` hold the clamp rules: inputs
-    are clamped to the bounds, the offset is added and the value is
-    clamped to [0, CP_CEILING]; partials are taken before the value
-    clamp and forced to zero in any direction whose input clamp engaged.
+    Subclasses implement ``_base_value`` and ``_base_with_partials`` (and
+    may implement ``_base_with_dlam``) on the un-offset base map at
+    inputs already clamped to the bounds.  The public methods hold the
+    clamp rules: inputs are clamped to the bounds, the offset is added
+    and the value is clamped to [0, CP_CEILING]; partials are taken
+    before the value clamp and forced to zero in any direction whose
+    input clamp engaged.
     """
 
     offset: float
@@ -56,6 +54,17 @@ class CpSurface:
     def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
         raise NotImplementedError
 
+    def _base_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
+        return self._base_with_partials(lam, theta)[:2]
+
+    def _clamped_base(self, lam: float, theta: float) -> float:
+        lam_lo, lam_hi = self.lam_bounds
+        th_lo, th_hi = self.theta_bounds
+        return self._base_value(
+            lam_lo if lam < lam_lo else lam_hi if lam > lam_hi else lam,
+            th_lo if theta < th_lo else th_hi if theta > th_hi else theta,
+        )
+
     def evaluate(self, lam: float, theta: float, extra_offset: float = 0.0) -> float:
         """Cp at (lam, theta) after input clamping, offset and value clamp.
 
@@ -63,10 +72,7 @@ class CpSurface:
         lets a caller probe a shifted surface without constructing one.
         """
         val = self._clamped_base(lam, theta) + self.offset + extra_offset
-        return _clamp(val, 0.0, CP_CEILING)
-
-    def _clamped_base(self, lam: float, theta: float) -> float:
-        return self._base_value(_clamp(lam, *self.lam_bounds), _clamp(theta, *self.theta_bounds))
+        return 0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val
 
     def evaluate_offsets(self, lam: float, theta: float, offsets) -> list[float]:
         """Cp at (lam, theta) of this surface's base map under each offset, from one lookup.
@@ -75,7 +81,11 @@ class CpSurface:
         base map and the offset ``offsets[j]`` in place of its own.
         """
         base = self._clamped_base(lam, theta)
-        return [_clamp(base + offset, 0.0, CP_CEILING) for offset in offsets]
+        values = []
+        for offset in offsets:
+            val = base + offset
+            values.append(0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val)
+        return values
 
     def shares_base(self, other: CpSurface) -> bool:
         """Whether ``other`` differs from this surface in its offset alone."""
@@ -98,18 +108,43 @@ class CpSurface:
         """
         lam_lo, lam_hi = self.lam_bounds
         th_lo, th_hi = self.theta_bounds
+        lam_out = lam < lam_lo or lam > lam_hi
+        theta_out = theta < th_lo or theta > th_hi
         val, d_lam, d_theta = self._base_with_partials(
-            _clamp(lam, lam_lo, lam_hi), _clamp(theta, th_lo, th_hi)
+            lam_lo if lam < lam_lo else lam_hi if lam_out else lam,
+            th_lo if theta < th_lo else th_hi if theta_out else theta,
         )
-        if lam < lam_lo or lam > lam_hi:
-            d_lam = 0.0
-        if theta < th_lo or theta > th_hi:
-            d_theta = 0.0
-        return _clamp(val + self.offset, 0.0, CP_CEILING), d_lam, d_theta
+        val += self.offset
+        return (
+            0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val,
+            0.0 if lam_out else d_lam,
+            0.0 if theta_out else d_theta,
+        )
+
+    def eval_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
+        """(value, dCp/dlam): ``eval_with_partials`` without the pitch partial."""
+        lam_lo, lam_hi = self.lam_bounds
+        th_lo, th_hi = self.theta_bounds
+        lam_out = lam < lam_lo or lam > lam_hi
+        val, d_lam = self._base_with_dlam(
+            lam_lo if lam < lam_lo else lam_hi if lam_out else lam,
+            th_lo if theta < th_lo else th_hi if theta > th_hi else theta,
+        )
+        val += self.offset
+        return (
+            0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val,
+            0.0 if lam_out else d_lam,
+        )
 
     def with_offset(self, delta: float) -> CpSurface:
-        """Copy of this surface with ``delta`` added to its offset."""
-        return replace(self, offset=self.offset + delta)
+        """Copy of this surface with ``delta`` added to its offset.
+
+        The copy shares this surface's base map and everything built
+        from it, such as a grid's cell table.
+        """
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), offset=self.offset + delta)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -168,10 +203,20 @@ class AnalyticCpSurface(CpSurface):
 class GridCpSurface(CpSurface):
     """Bilinear interpolation on a rectangular (lambda, theta) grid.
 
-    ``theta_axis`` is stored in radians.  Partials interpolate nodal
-    derivative grids obtained by central differences (one-sided at the
-    edges), so they agree with plain grid differences at the nodes and
-    vary continuously in between.
+    ``theta_axis`` is stored in radians; the axes and values are stored
+    as read-only arrays.  Partials interpolate nodal derivative grids
+    obtained by central differences (one-sided at the edges), so they
+    agree with plain grid differences at the nodes and vary
+    continuously in between.
+
+    A lookup finds its cell by one bisection per axis and fetches the
+    cell's entry from a table built once per base map (``with_offset``
+    copies share it): the cell's lambda and theta origins and widths,
+    then for the values, the lambda partials and the theta partials in
+    turn, the corners at the cell's lower and upper theta, each with its
+    difference across the cell in lambda.  The interpolation
+    a + u (b - a), a and b the corners plus t times their differences,
+    is the plain bilinear form over the four nodes, bit for bit.
     """
 
     lam_axis: np.ndarray
@@ -180,12 +225,9 @@ class GridCpSurface(CpSurface):
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lam_axis, dtype=float)
-        theta = np.asarray(self.theta_axis, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "lam_axis", lam)
-        object.__setattr__(self, "theta_axis", theta)
-        object.__setattr__(self, "values", vals)
+        lam = np.array(self.lam_axis, dtype=float)
+        theta = np.array(self.theta_axis, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if lam.ndim != 1 or theta.ndim != 1 or lam.size < 2 or theta.size < 2:
             raise ValueError("grid axes must be 1-D with at least two points")
         if not (np.all(np.diff(lam) > 0) and np.all(np.diff(theta) > 0)):
@@ -197,51 +239,49 @@ class GridCpSurface(CpSurface):
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
-        object.__setattr__(self, "_lam_list", lam.tolist())
-        object.__setattr__(self, "_theta_list", theta.tolist())
-        object.__setattr__(self, "_vals_list", vals.tolist())
-        object.__setattr__(self, "lam_bounds", (lam[0].item(), lam[-1].item()))
-        object.__setattr__(self, "theta_bounds", (theta[0].item(), theta[-1].item()))
+        for name, array in (("lam_axis", lam), ("theta_axis", theta), ("values", vals)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        lam_list, theta_list = lam.tolist(), theta.tolist()
+        object.__setattr__(self, "lam_bounds", (lam_list[0], lam_list[-1]))
+        object.__setattr__(self, "theta_bounds", (theta_list[0], theta_list[-1]))
+        grids = (vals, np.gradient(vals, lam, axis=0), np.gradient(vals, theta, axis=1))
+        object.__setattr__(self, "_search", (
+            lam_list, lam.size - 1, theta_list, theta.size - 1, _cell_table(lam, theta, grids)
+        ))
 
-    @cached_property
-    def _deriv_grids(self) -> tuple[list, list]:
-        d_lam = np.gradient(self.values, self.lam_axis, axis=0)
-        d_theta = np.gradient(self.values, self.theta_axis, axis=1)
-        return d_lam.tolist(), d_theta.tolist()
-
-    def _cell(self, axis: list, x: float) -> int:
-        i = bisect.bisect_right(axis, x) - 1
-        n = len(axis)
-        return 0 if i < 0 else n - 2 if i > n - 2 else i
-
-    def _locate(self, lam: float, theta: float) -> tuple[int, int, float, float]:
-        la, ta = self._lam_list, self._theta_list
-        i = self._cell(la, lam)
-        j = self._cell(ta, theta)
-        t = (lam - la[i]) / (la[i + 1] - la[i])
-        u = (theta - ta[j]) / (ta[j + 1] - ta[j])
-        return i, j, t, u
-
-    @staticmethod
-    def _interp_at(grid: list, i: int, j: int, t: float, u: float) -> float:
-        row0 = grid[i]
-        row1 = grid[i + 1]
-        a = row0[j] + t * (row1[j] - row0[j])
-        b = row0[j + 1] + t * (row1[j + 1] - row0[j + 1])
-        return a + u * (b - a)
+    def _cell(self, lam: float, theta: float) -> tuple[float, ...]:
+        """The table entry of the cell holding (lam, theta); the edge cells extend outward."""
+        lam_axis, lam_hi, theta_axis, theta_hi, cells = self._search
+        return cells[bisect.bisect_right(lam_axis, lam, 1, lam_hi) - 1][
+            bisect.bisect_right(theta_axis, theta, 1, theta_hi) - 1
+        ]
 
     def _base_value(self, lam: float, theta: float) -> float:
-        i, j, t, u = self._locate(lam, theta)
-        return self._interp_at(self._vals_list, i, j, t, u)
+        lam0, lam_w, theta0, theta_w, a0, da, b0, db = self._cell(lam, theta)[:8]
+        t = (lam - lam0) / lam_w
+        u = (theta - theta0) / theta_w
+        a = a0 + t * da
+        return a + u * (b0 + t * db - a)
+
+    def _base_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
+        lam0, lam_w, theta0, theta_w, a0, da, b0, db, c0, dc, e0, de = self._cell(lam, theta)[:12]
+        t = (lam - lam0) / lam_w
+        u = (theta - theta0) / theta_w
+        a = a0 + t * da
+        c = c0 + t * dc
+        return a + u * (b0 + t * db - a), c + u * (e0 + t * de - c)
 
     def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
-        d_lam, d_theta = self._deriv_grids
-        i, j, t, u = self._locate(lam, theta)
-        return (
-            self._interp_at(self._vals_list, i, j, t, u),
-            self._interp_at(d_lam, i, j, t, u),
-            self._interp_at(d_theta, i, j, t, u),
+        lam0, lam_w, theta0, theta_w, a0, da, b0, db, c0, dc, e0, de, g0, dg, h0, dh = (
+            self._cell(lam, theta)
         )
+        t = (lam - lam0) / lam_w
+        u = (theta - theta0) / theta_w
+        a = a0 + t * da
+        c = c0 + t * dc
+        g = g0 + t * dg
+        return a + u * (b0 + t * db - a), c + u * (e0 + t * de - c), g + u * (h0 + t * dh - g)
 
     @classmethod
     def constant(cls, value: float) -> GridCpSurface:
@@ -282,8 +322,29 @@ class GridCpSurface(CpSurface):
             )
 
 
+def _cell_table(lam: np.ndarray, theta: np.ndarray, grids) -> tuple[tuple[tuple, ...], ...]:
+    """Entry [i][j]: cell (i, j)'s ``GridCpSurface`` lookup tuple over ``grids``.
+
+    The floats are taken from one ``tolist`` per array, so neighbouring
+    cells share their objects.
+    """
+    lam0, lam_w = lam[:-1].tolist(), np.diff(lam).tolist()
+    theta0, theta_w = theta[:-1].tolist(), np.diff(theta).tolist()
+    lower = [grid[:-1].tolist() for grid in grids]
+    across = [np.diff(grid, axis=0).tolist() for grid in grids]
+    rows = []
+    for i in range(len(lam0)):
+        corners = []
+        for grid_lower, grid_across in zip(lower, across):
+            a, d = grid_lower[i], grid_across[i]
+            corners += (a, d, a[1:], d[1:])
+        rows.append(tuple(zip(repeat(lam0[i]), repeat(lam_w[i]), theta0, theta_w, *corners)))
+    return tuple(rows)
+
+
+@functools.cache
 def default_grid_surface() -> GridCpSurface:
-    """The analytic surrogate sampled onto the working grid.
+    """The analytic surrogate sampled onto the working grid, built once per process.
 
     lambda runs from 1 to 15 in steps of 0.25, theta from 0 to 30 degrees
     in steps of 0.5 degrees.

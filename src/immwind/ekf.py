@@ -10,7 +10,9 @@ The paper's filters have two states and one measured channel.  That
 shape runs on a kernel over Python floats (``transition2``,
 ``measurement2``, ``propagate2``, ``correct2``), where numpy's per-call
 overhead would outweigh the 2x2 arithmetic; every other shape runs on
-the batched numpy kernel (``propagate``, ``correct``).
+the batched numpy kernel (``propagate``, ``correct``).  The records the
+float kernel returns hold its floats and build their ndarray fields
+only when those are read (``float_backed``).
 """
 
 from __future__ import annotations
@@ -25,9 +27,60 @@ from .errors import NumericalError
 from .turbine import TurbineModel
 
 
+class _FromFloats:
+    """An ndarray field that a record made by the float kernel builds from
+    its floats when the field is first read, and then keeps.
+
+    A non-data descriptor: a record that holds the field itself, as one
+    built by its constructor does, never reaches it.
+    """
+
+    def __init__(self, name: str, build) -> None:
+        self.name = name
+        self.build = build
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        array = self.build(*record._floats)
+        array.setflags(write=False)  # so it cannot drift from the floats
+        vars(record)[self.name] = array
+        return array
+
+
+def float_backed(**arrays):
+    """Class decorator, placed above ``@dataclass``, for the records the float kernel makes.
+
+    ``cls._of_floats(floats, **fields)`` makes a record that holds the
+    kernel's floats in ``_floats`` and the given other fields; each
+    field named in ``arrays`` is built by ``arrays[name](*floats)``
+    when first read, as a read-only array.
+    """
+
+    def of_floats(cls, floats, **fields):
+        record = object.__new__(cls)
+        vars(record).update(fields, _floats=floats)
+        return record
+
+    def decorate(cls):
+        for name, build in arrays.items():
+            setattr(cls, name, _FromFloats(name, build))
+        cls._of_floats = classmethod(of_floats)
+        return cls
+
+    return decorate
+
+
+@float_backed(
+    x=lambda x0, x1, P: np.array((x0, x1)),
+    P=lambda x0, x1, P: np.array(P).reshape(2, 2),
+)
 @dataclass(frozen=True, eq=False)
 class EstimatorState:
-    """State estimate and its error covariance."""
+    """State estimate and its error covariance.
+
+    On the float kernel ``_floats`` is (x0, x1, P), P a row-major 4-tuple.
+    """
 
     x: np.ndarray
     P: np.ndarray
@@ -71,9 +124,17 @@ class NoiseModel:
         return tuple(self.Q.ravel().tolist())
 
 
+@float_backed(
+    residual=lambda z, S, l0, l1: np.array((z,)),
+    innovation_cov=lambda z, S, l0, l1: np.array(((S,),)),
+    gain=lambda z, S, l0, l1: np.array(((l0,), (l1,))),
+)
 @dataclass(frozen=True, eq=False)
 class UpdateReport:
-    """Residual, innovation covariance and gain from one measurement update."""
+    """Residual, innovation covariance and gain from one measurement update.
+
+    On the float kernel ``_floats`` is (residual, S, gain0, gain1).
+    """
 
     residual: np.ndarray
     innovation_cov: np.ndarray
@@ -205,13 +266,6 @@ def scalar_measurement(y) -> float:
     return y.item()
 
 
-def _state2(x0: float, x1: float, P) -> EstimatorState:
-    """The EstimatorState of a float kernel result, built without re-checking its shapes."""
-    state = object.__new__(EstimatorState)
-    vars(state).update(x=np.array((x0, x1)), P=np.array(P).reshape(2, 2))
-    return state
-
-
 # -- value-style filter steps ---------------------------------------------
 
 
@@ -220,14 +274,26 @@ def _state2(x0: float, x1: float, P) -> EstimatorState:
 # a single filter on one keeps the numpy kernel.
 
 
+def _kernel_floats(state: EstimatorState, noise: NoiseModel):
+    """(x0, x1, P) of a turbine filter that runs on the float kernel, else None."""
+    if noise.R.shape != (1, 1):
+        return None
+    floats = vars(state).get("_floats")
+    if floats is None and state.x.shape == (2,):  # a state built by its constructor
+        floats = (*state.x.tolist(), state.P.ravel().tolist())
+    return floats
+
+
 def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorState:
     """Time update: propagate the estimate through f and grow P."""
-    if type(model) is TurbineModel and is_scalar2(state.x, noise.R):
-        x0, x1 = state.x.tolist()
+    floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
+    if floats is not None:
+        x0, x1, P = floats
         f0, f1, *F = transition2(model, x0, x1, u)
-        return _state2(f0, f1, propagate2(state.P.ravel().tolist(), F, noise.q_entries))
-    F = model.jac_f(state.x, u)
-    x = np.asarray(model.f(state.x, u), dtype=float).reshape(-1)
+        return EstimatorState._of_floats((f0, f1, propagate2(P, F, noise.q_entries)))
+    x = state.x
+    F = model.jac_f(x, u)
+    x = np.asarray(model.f(x, u), dtype=float).reshape(-1)
     return EstimatorState(x, propagate(F, state.P, noise.Q))
 
 
@@ -237,16 +303,16 @@ def update(
     """Measurement update; raises NumericalError when S is not positive
     definite and, on the float kernel, when the corrected state or
     covariance is not finite."""
-    if type(model) is TurbineModel and is_scalar2(state.x, noise.R):
-        x0, x1 = state.x.tolist()
+    floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
+    if floats is not None:
+        x0, x1, P = floats
         h, h0, h1 = measurement2(model, x0, x1, u)
         z = scalar_measurement(y) - h
-        x0, x1, P, S, l0, l1 = correct2(x0, x1, state.P.ravel().tolist(), z, h0, h1, noise.R.item())
-        return _state2(x0, x1, P), UpdateReport(
-            np.array((z,)), np.array(((S,),)), np.array(((l0,), (l1,)))
-        )
+        x0, x1, P, S, l0, l1 = correct2(x0, x1, P, z, h0, h1, noise.R.item())
+        return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S, l0, l1))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    H = model.jac_h(state.x, u)
-    z = y - np.asarray(model.h(state.x, u), dtype=float).reshape(-1)
-    x, P, S, L = correct(state.x, state.P, z, H, noise.R)
+    x = state.x
+    H = model.jac_h(x, u)
+    z = y - np.asarray(model.h(x, u), dtype=float).reshape(-1)
+    x, P, S, L = correct(x, state.P, z, H, noise.R)
     return EstimatorState(x, P), UpdateReport(z, S, L)

@@ -220,11 +220,12 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
             estimator = "kf"
             pred = ekf.predict(kf_state, u_prev, nominal, noise)
             kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
-            v_imm[k] = out.x[1]
+            # the paper's filter shape runs on the float kernel: read its floats
+            _, v_imm[k], _, mu[k] = out._floats
             cp_imm[k] = out.cp_estimate
-            mu[k] = out.mu
-            v_kf[k] = kf_state.x[1]
-            cp_kf[k] = nominal.cp_at(kf_state.x, u_prev.pitch)
+            x_kf = kf_state._floats[:2]
+            v_kf[k] = x_kf[1]
+            cp_kf[k] = nominal.cp_at(x_kf, u_prev.pitch)
     except NumericalError as exc:
         raise NumericalError(f"{estimator} step {k}, t={k * config.dt:.2f} s: {exc}") from exc
     return dict(

@@ -24,6 +24,11 @@ from .turbine import TurbineModel, TurbineParameters
 MU_FLOOR = 1e-12  # keeps every mode alive and mixing denominators positive
 
 
+@ekf.float_backed(
+    x=lambda filters, mu: np.array([v for x0, x1, _ in filters for v in (x0, x1)]).reshape(-1, 2),
+    P=lambda filters, mu: np.array([v for _, _, P in filters for v in P]).reshape(-1, 2, 2),
+    mu=lambda filters, mu: np.array(mu),
+)
 @dataclass(frozen=True, init=False, eq=False)
 class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
@@ -37,6 +42,10 @@ class ModeBank:
     reporting and error messages.  ``underflow_count`` counts the
     cycles whose likelihoods all underflowed to zero (the probabilities
     are then carried through unchanged).
+
+    A bank that the float kernel returns holds ``_floats`` = (filters,
+    mu), with one (x0, x1, P) per filter, P a row-major 4-tuple, and
+    builds ``x``, ``P`` and ``mu`` when they are read.
     """
 
     models: tuple
@@ -61,22 +70,33 @@ class ModeBank:
         elif x is None or P is None:
             raise TypeError("ModeBank needs per-filter states or stacked x and P")
         models = tuple(models)
-        vars(self).update(
+        transition = np.array(transition, dtype=float)
+        # what every bank that imm_step derives from this one shares with it
+        fixed = dict(
             models=models,
+            transition=transition,
+            noise=noise,
+            offsets=tuple(offsets),
+            _cp_base=_shared_cp_base(models),
+            _columns=tuple(zip(*transition.tolist())),  # column j: pi_ij over i
+        )
+        vars(self).update(
+            fixed,
+            _fixed=fixed,
             x=np.array(x, dtype=float),
             P=np.array(P, dtype=float),
             mu=np.array(mu, dtype=float).reshape(-1),
-            transition=np.array(transition, dtype=float),
-            noise=noise,
-            offsets=tuple(offsets),
             underflow_count=underflow_count,
-            _cp_base=_shared_cp_base(models),
         )
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Validate a caller-built bank; ``imm_step`` derives the next one unchecked."""
         mu, pi, x = self.mu, self.transition, self.x
+        for name in ("x", "P", "mu", "transition"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"ModeBank.{name} must be finite, got {value}")
         m = len(self.models)
         if m == 0 or len(x) != m or mu.size != m:
             raise ValueError("models, states and mu must have matching length >= 1")
@@ -96,11 +116,16 @@ class ModeBank:
         """Per-filter view of the stacked state, built on each access."""
         return tuple(map(ekf.EstimatorState, self.x, self.P))
 
-    def _advanced(self, x, P, mu, underflowed: bool) -> ModeBank:
-        """The next cycle's bank, derived from this validated one."""
+    def _advanced(self, underflowed: bool, **cycle) -> ModeBank:
+        """The next cycle's bank, derived from this validated one.
+
+        ``cycle`` holds the new filters and probabilities: the stacked
+        ``x``, ``P`` and ``mu``, or the float kernel's ``_floats``.
+        """
         new = object.__new__(ModeBank)
         vars(new).update(
-            vars(self), x=x, P=P, mu=mu, underflow_count=self.underflow_count + int(underflowed)
+            self._fixed, _fixed=self._fixed,
+            underflow_count=self.underflow_count + int(underflowed), **cycle,
         )
         return new
 
@@ -122,9 +147,18 @@ def _shared_cp_base(models) -> tuple[TurbineModel, tuple[float, ...]] | None:
     return None
 
 
+@ekf.float_backed(
+    x=lambda x0, x1, P, mu: np.array((x0, x1)),
+    P=lambda x0, x1, P, mu: np.array(P).reshape(2, 2),
+    mu=lambda x0, x1, P, mu: np.array(mu),
+)
 @dataclass(frozen=True, eq=False)
 class ImmOutput:
-    """Combined estimate, covariance, posterior mode probabilities, Cp."""
+    """Combined estimate, covariance, posterior mode probabilities, Cp.
+
+    On the float kernel ``_floats`` is (x0, x1, P, mu), P a row-major
+    4-tuple and mu a list.
+    """
 
     x: np.ndarray
     P: np.ndarray
@@ -267,12 +301,19 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
     """``imm_step`` for 2-state filters measuring one channel, over Python floats."""
     Q = bank.noise.q_entries
     r = bank.noise.R.item()
-    mu = bank.mu.tolist()
+    floats = vars(bank).get("_floats")
+    if floats is None:  # a bank built by its constructor
+        filters = [
+            (x0, x1, (*P0, *P1)) for (x0, x1), (P0, P1) in zip(bank.x.tolist(), bank.P.tolist())
+        ]
+        mu = bank.mu.tolist()
+    else:
+        filters, mu = floats
     posts, weighted = [], []
-    for j, (model, (x0, x1), P) in enumerate(zip(bank.models, bank.x.tolist(), bank.P.tolist())):
+    for j, (model, (x0, x1, P)) in enumerate(zip(bank.models, filters)):
         try:
             f0, f1, *F = ekf.transition2(model, x0, x1, u)
-            P = ekf.propagate2((*P[0], *P[1]), F, Q)
+            P = ekf.propagate2(P, F, Q)
             h, h0, h1 = ekf.measurement2(model, f0, f1, u)
             z = y - h
             x0, x1, P, S, _, _ = ekf.correct2(f0, f1, P, z, h0, h1, r)
@@ -290,20 +331,21 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
         total = sum(post)
         post = [p / total for p in post]
 
-    xc0, xc1, (pc00, pc01, _, pc11) = _mix2(post, posts)  # combination: one weight column
-    x_c = np.array((xc0, xc1))
-    cp_hat = estimate_cp(bank, x_c, getattr(u, "pitch", 0.0), mu=post)
+    xc0, xc1, P_c = _mix2(post, posts)  # combination: one weight column
+    cp_hat = estimate_cp(bank, (xc0, xc1), getattr(u, "pitch", 0.0), mu=post)
 
-    pi = bank.transition.tolist()
-    m = len(post)
-    prior = [sum(pi[i][j] * post[i] for i in range(m)) for j in range(m)]
-    if not min(prior) > 0.0:
-        raise NumericalError(f"predicted mode probabilities contain zeros: {prior}")
-    mixed = [_mix2([pi[i][j] * post[i] / prior[j] for i in range(m)], posts) for j in range(m)]
-    out = ImmOutput(x_c, np.array(((pc00, pc01), (pc01, pc11))), np.array(post), cp_hat)
-    x = np.array([(a0, a1) for a0, a1, _ in mixed])
-    P = np.array([P for _, _, P in mixed]).reshape(m, 2, 2)
-    return bank._advanced(x, P, np.array(prior), underflow), out
+    # Markov prediction and mixing, one transition-matrix column per mode
+    prior, mixed = [], []
+    for column in bank._columns:
+        joint = [p * q for p, q in zip(column, post)]  # pi_ij mu_i
+        total = sum(joint)
+        if not total > 0.0:
+            prior = [sum(p * q for p, q in zip(col, post)) for col in bank._columns]
+            raise NumericalError(f"predicted mode probabilities contain zeros: {prior}")
+        prior.append(total)
+        mixed.append(_mix2([w / total for w in joint], posts))
+    out = ImmOutput._of_floats((xc0, xc1, P_c, post), cp_estimate=cp_hat)
+    return bank._advanced(underflow, _floats=(mixed, prior)), out
 
 
 def imm_step(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
@@ -315,7 +357,7 @@ def imm_step(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
     shapes run on the batched numpy kernel.  On any filter failure the
     exception propagates and the caller's bank value is untouched.
     """
-    if ekf.is_scalar2(bank.x, bank.noise.R):
+    if "_floats" in vars(bank) or ekf.is_scalar2(bank.x, bank.noise.R):
         return _imm_step2(bank, ekf.scalar_measurement(y), u)
     return _imm_step_batched(bank, y, u)
 
@@ -339,7 +381,7 @@ def _imm_step_batched(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
     mu_prior = predict_mode_probs(bank.transition, mu_post)
     xm, Pm = _mix_arrays(x, P, mixing_weights(bank.transition, mu_post, mu_prior))
     out = ImmOutput(x_c[0], P_c[0], mu_post, cp_hat)
-    return bank._advanced(xm, Pm, mu_prior, underflow), out
+    return bank._advanced(underflow, x=xm, P=Pm, mu=mu_prior), out
 
 
 def build_cp_mode_bank(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,6 +179,10 @@ def generate_cp_schedule(
     return TrueCpSchedule(offsets=offsets)
 
 
+# each surface's (Cp_max, lambda*) at fine pitch, scanned once; an entry goes with its surface
+_OPTIMA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class BaselineController:
     """Quadratic torque law below rated, gain-scheduled PI pitch above.
 
@@ -196,7 +201,10 @@ class BaselineController:
     def __init__(self, params: TurbineParameters, cp: CpSurface) -> None:
         self.params = params
         self.cp = cp
-        self.cp_max, self.lam_star = self._surface_optimum(cp, self.fine_pitch)
+        optimum = _OPTIMA.get(cp)
+        if optimum is None:
+            optimum = _OPTIMA[cp] = self._surface_optimum(cp, self.fine_pitch)
+        self.cp_max, self.lam_star = optimum
         self.k_opt = (
             0.5
             * params.air_density
@@ -303,7 +311,6 @@ def simulate_plant(
     y_meas = np.empty(n)
 
     # start at the region-appropriate equilibrium for the mean wind
-    v0 = float(wind.rews[0])
     omega0 = controller.lam_star * preset.mean_wind / params.radius
     if omega0 >= params.omega_rated:
         omega0 = params.omega_rated

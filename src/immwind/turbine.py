@@ -213,17 +213,34 @@ class TurbineModel:
     def jac_f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp)
 
+    def __post_init__(self) -> None:
+        p = self.params
+        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row form them
+        k = 0.5 * p.air_density * math.pi * p.radius**2
+        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia))
+
     def f_and_jac(self, x0: float, x1: float, u: ControlInput) -> tuple[float, float, float, float]:
         """``f`` and ``jac_f`` at the state (x0, x1) as floats, from one Cp lookup.
 
         Returns (f0, f1, F00, F01), equal bit for bit to ``f(x, u)`` and
-        the top row of ``jac_f(x, u)``; F's bottom row is always (0, 1).
+        the top row of ``jac_f(x, u)``, whose helpers it inlines; F's
+        bottom row is always (0, 1).
         """
-        omega, v = _floored((x0, x1))
-        params = self.params
-        cp_val, dcp_dlam, _ = self.cp.eval_with_partials(omega * params.radius / v, u.pitch)
-        omega_next = _euler(omega, _torque(omega, v, cp_val, params), u.torque, params)
-        return (omega_next, v, *_jacobian_row(omega, v, cp_val, dcp_dlam, params))
+        omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0  # max(x0, OMEGA_FLOOR), as _floored
+        v = V_FLOOR if V_FLOOR > x1 else x1
+        radius, k, a = self._constants
+        cp_val, dcp_dlam = self.cp.eval_with_dlam(omega * radius / v, u.pitch)
+        v2 = v**2
+        kcv3 = k * cp_val * v**3
+        omega_next = omega + a * (kcv3 / omega - u.torque)
+        dtau_domega = k * v2 * radius * dcp_dlam / omega - kcv3 / omega**2
+        dtau_dv = 3.0 * k * cp_val * v2 / omega - k * radius * v * dcp_dlam
+        return (
+            OMEGA_FLOOR if OMEGA_FLOOR > omega_next else omega_next,
+            v,
+            1.0 + a * dtau_domega,
+            a * dtau_dv,
+        )
 
     def cp_at(self, x: np.ndarray, pitch: float) -> float:
         """Cp of this model's surface at the filter state ``x``."""

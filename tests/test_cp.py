@@ -1,8 +1,9 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from immwind import AnalyticCpSurface, GridCpSurface
@@ -290,3 +291,91 @@ def test_shares_base_tells_surfaces_apart():
     assert not grid.shares_base(AnalyticCpSurface())
     assert not grid.shares_base(quad_grid())
     assert not AnalyticCpSurface().shares_base(AnalyticCpSurface(lam_bounds=(1.0, 20.0)))
+
+
+def plain_bilinear(lam_axis, theta_axis, grid, lam, theta):
+    """Bilinear interpolation over the four nodes of the cell holding (lam, theta)."""
+    la, ta, g = lam_axis.tolist(), theta_axis.tolist(), grid.tolist()
+    i = min(max(bisect.bisect_right(la, lam) - 1, 0), len(la) - 2)
+    j = min(max(bisect.bisect_right(ta, theta) - 1, 0), len(ta) - 2)
+    t = (lam - la[i]) / (la[i + 1] - la[i])
+    u = (theta - ta[j]) / (ta[j + 1] - ta[j])
+    a = g[i][j] + t * (g[i + 1][j] - g[i][j])
+    b = g[i][j + 1] + t * (g[i + 1][j + 1] - g[i][j + 1])
+    return a + u * (b - a)
+
+
+def increasing_axis(start, gaps):
+    return np.cumsum([start] + gaps)
+
+
+@st.composite
+def grid_and_point(draw):
+    """A grid on strictly increasing, non-uniform axes and a point on a node, on the
+    top edge, inside or outside the bounds."""
+    gaps = st.floats(0.01, 3.0)
+    lam = increasing_axis(draw(st.floats(0.0, 5.0)), draw(st.lists(gaps, min_size=1, max_size=7)))
+    theta = increasing_axis(draw(st.floats(-0.2, 0.2)),
+                            draw(st.lists(gaps, min_size=1, max_size=7)))
+    values = np.array(draw(st.lists(
+        st.floats(-0.3, 0.9), min_size=lam.size * theta.size, max_size=lam.size * theta.size
+    ))).reshape(lam.size, theta.size)
+    point = []
+    for axis in (lam, theta):
+        kind = draw(st.sampled_from(["node", "top", "inside", "outside"]))
+        if kind == "node":
+            point.append(float(axis[draw(st.integers(0, axis.size - 1))]))
+        elif kind == "top":
+            point.append(float(axis[-1]))
+        elif kind == "inside":
+            point.append(draw(st.floats(float(axis[0]), float(axis[-1]))))
+        else:
+            point.append(draw(st.one_of(
+                st.floats(float(axis[0]) - 10.0, float(axis[0]), exclude_max=True),
+                st.floats(float(axis[-1]), float(axis[-1]) + 10.0, exclude_min=True),
+            )))
+    return lam, theta, values, *point
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=grid_and_point(), offset=st.sampled_from([0.0, 0.04, -0.5]))
+@example(case=(np.array([1.0, 2.5, 7.0]), np.array([0.0, 0.1]), np.array([[0.1, 0.2], [0.3, 0.35],
+                                                                         [0.2, 0.05]]), 7.0, 0.1),
+         offset=0.0)  # the top corner node
+def test_cell_table_equals_the_plain_bilinear_form(case, offset):
+    """Every lookup of the cell table equals bilinear interpolation over the four
+    nodes, and of the nodal derivative grids, bit for bit, clamps included."""
+    lam_axis, theta_axis, values, lam, theta = case
+    surf = GridCpSurface(lam_axis, theta_axis, values, offset=offset)
+    lam_c = min(max(lam, lam_axis[0]), lam_axis[-1])
+    theta_c = min(max(theta, theta_axis[0]), theta_axis[-1])
+    val = plain_bilinear(lam_axis, theta_axis, values, lam_c, theta_c) + offset
+    val = min(max(val, 0.0), CP_CEILING)
+    d_lam, d_theta = (
+        plain_bilinear(lam_axis, theta_axis, np.gradient(values, axis_, axis=k), lam_c, theta_c)
+        for k, axis_ in enumerate((lam_axis, theta_axis))
+    )
+    d_lam = d_lam if lam == lam_c else 0.0
+    d_theta = d_theta if theta == theta_c else 0.0
+    assert hexes(surf.evaluate(lam, theta)) == hexes(val)
+    assert hexes(*surf.eval_with_partials(lam, theta)) == hexes(val, d_lam, d_theta)
+    assert hexes(*surf.eval_with_dlam(lam, theta)) == hexes(val, d_lam)
+    assert hexes(*surf.evaluate_offsets(lam, theta, [offset])) == hexes(val)
+
+
+def test_grid_arrays_are_read_only_and_copies_share_the_cell_table():
+    values = np.array([[0.1, 0.2], [0.3, 0.4]])
+    surf = GridCpSurface([1.0, 2.0], [0.0, 0.1], values)
+    values[0, 0] = 0.5  # the surface holds its own copy
+    assert surf.values[0, 0] == 0.1
+    for array in (surf.lam_axis, surf.theta_axis, surf.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    shifted = surf.with_offset(0.05)
+    assert shifted._search is surf._search
+    assert shifted.evaluate(1.5, 0.05) == surf.evaluate(1.5, 0.05) + 0.05
+    assert default_grid_surface() is default_grid_surface()

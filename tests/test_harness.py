@@ -20,7 +20,9 @@ from immwind import (
     write_outputs,
 )
 from immwind.config import ExperimentConfig
+import immwind.cp as cp
 import immwind.harness as harness
+import immwind.plant as plant
 import immwind.ekf as ekf
 import immwind.imm as imm
 
@@ -155,6 +157,29 @@ class TestRunExperiment:
             assert est.wind.n_scored + est.wind.n_excluded == n_tail
             assert est.cp.n_scored + est.cp.n_excluded == n_tail
             assert est.wind_hist.sum() == est.wind.n_scored
+
+    def test_set_up_runs_once_per_process_not_per_seed(self, monkeypatch):
+        """The built-in grid is sampled and its cell table built once, and the
+        controller scans a surface's optimum once, however many seeds run."""
+        calls = {"sample": 0, "table": 0, "scan": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cp.AnalyticCpSurface, "to_grid",
+                            counted("sample", cp.AnalyticCpSurface.to_grid))
+        monkeypatch.setattr(cp, "_cell_table", counted("table", cp._cell_table))
+        scan = plant.BaselineController._surface_optimum
+        monkeypatch.setattr(plant.BaselineController, "_surface_optimum",
+                            staticmethod(counted("scan", scan)))
+        cp.default_grid_surface.cache_clear()
+        run_experiment(tiny_config(seeds=(1,), duration_s=5.0, settle_s=1.0))
+        assert calls == {"sample": 1, "table": 1, "scan": 1}
+        run_experiment(tiny_config(seeds=(2, 3), duration_s=5.0, settle_s=1.0))
+        assert calls == {"sample": 1, "table": 1, "scan": 1}
 
     def test_failed_seed_reported_and_others_continue(self, monkeypatch):
         real = harness._run_estimators

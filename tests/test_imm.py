@@ -391,6 +391,16 @@ class TestBankValidation:
         with pytest.raises(ValueError, match="simplex"):
             linear_bank(mu=[0.5, 0.2, 0.2])
 
+    @pytest.mark.parametrize("field", ["x", "P", "mu", "transition"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        bank = linear_bank()
+        fields = dict(x=bank.x.copy(), P=bank.P.copy(), mu=bank.mu.copy(),
+                      transition=bank.transition.copy())
+        fields[field].reshape(-1)[1] = bad
+        with pytest.raises(ValueError, match=rf"^ModeBank\.{field} must be finite"):
+            ModeBank(models=bank.models, noise=bank.noise, **fields)
+
     def test_transition_rows_must_sum_to_one(self):
         pi = np.array([[0.9, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.1, 0.9]])
         with pytest.raises(ValueError, match="row"):

@@ -9,6 +9,7 @@ terms d d' of states of size |x|, whose rounding is of order eps |x|^2,
 so covariances are compared at the scale max(|P|, |x|^2).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,3 +183,81 @@ class TestFailureNamesTheMode:
                         transition=bank.transition, noise=bank.noise)
         with pytest.raises(NumericalError, match=r"^mode 1: innovation covariance"):
             imm_step(bank, 0.1, None)
+
+
+def turbine_bank(params, grid_surface):
+    return build_cp_mode_bank(
+        params, grid_surface, 0.04, NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),
+        np.array([0.72, 8.0]), np.diag([0.01, 4.0]), symmetric_transition(3, 0.99),
+        np.full(3, 1 / 3),
+    )
+
+
+def read_every_array(*records):
+    """Read each array field of the records, as a caller inspecting them would."""
+    for record in records:
+        for name in ("x", "P", "mu", "residual", "innovation_cov", "gain"):
+            getattr(record, name, None)
+        if isinstance(record, ModeBank):
+            record.states
+
+
+class TestFloatBackedRecords:
+    def test_arrays_read_on_demand_equal_the_kernel_floats(self, params, grid_surface):
+        bank, out = imm_step(turbine_bank(params, grid_surface), 0.7201, ControlInput(0.0, 5e6))
+        filters, mu = bank._floats
+        assert bank.x.tolist() == [[x0, x1] for x0, x1, _ in filters]
+        assert bank.P.tolist() == [[list(P[:2]), list(P[2:])] for _, _, P in filters]
+        assert bank.mu.tolist() == list(mu)
+        x0, x1, P, post = out._floats
+        assert out.x.tolist() == [x0, x1] and out.mu.tolist() == list(post)
+        assert out.P.tolist() == [list(P[:2]), list(P[2:])]
+        state = predict(EstimatorState(np.array([0.72, 8.0]), np.eye(2)), ControlInput(0.0, 5e6),
+                        bank.models[0], bank.noise)
+        state, report = update(state, 0.7201, ControlInput(0.0, 5e6), bank.models[0], bank.noise)
+        x0, x1, P = state._floats
+        assert state.x.tolist() == [x0, x1] and state.P.ravel().tolist() == list(P)
+        z, S, l0, l1 = report._floats
+        assert report.residual.tolist() == [z] and report.innovation_cov.tolist() == [[S]]
+        assert report.gain.tolist() == [[l0], [l1]]
+        for array in (bank.x, bank.P, bank.mu, out.x, out.P, out.mu, state.x, report.gain):
+            assert not array.flags.writeable
+
+    def test_reading_the_arrays_changes_no_later_cycle(self, params, grid_surface):
+        """Two chains, one whose records are read every cycle, agree bit for bit."""
+        bank0 = turbine_bank(params, grid_surface)
+        model, noise = bank0.models[0], bank0.noise
+        chains = []
+        for read in (False, True):
+            bank, state = bank0, EstimatorState(np.array([0.72, 8.0]), np.diag([0.01, 4.0]))
+            outs = []
+            for k in range(40):
+                u = ControlInput(0.01 * math.sin(k), 5e6)
+                y = 0.72 + 1e-3 * math.sin(0.4 * k)
+                bank, out = imm_step(bank, y, u)
+                state, report = update(predict(state, u, model, noise), y, u, model, noise)
+                if read:
+                    read_every_array(bank, out, state, report)
+                    assert bank.x.tolist() == [[x0, x1] for x0, x1, _ in bank._floats[0]]
+                    assert out.x.tolist() == list(out._floats[:2])
+                outs.append(out)
+            chains.append((bank, state, outs))
+        (bank_a, state_a, outs_a), (bank_b, state_b, outs_b) = chains
+        assert repr(bank_a._floats) == repr(bank_b._floats)
+        assert repr(state_a._floats) == repr(state_b._floats)
+        assert [repr(o._floats) for o in outs_a] == [repr(o._floats) for o in outs_b]
+        assert bank_a.underflow_count == bank_b.underflow_count
+
+    def test_replace_on_a_kernel_made_bank(self, params, grid_surface):
+        bank, _ = imm_step(turbine_bank(params, grid_surface), 0.7201, ControlInput(0.0, 5e6))
+        copy = dataclasses.replace(bank)
+        assert "_floats" not in vars(copy)
+        for name in ("x", "P", "mu", "transition"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(bank, name))
+        assert copy.offsets == bank.offsets and copy.underflow_count == bank.underflow_count
+        u = ControlInput(0.0, 5e6)
+        (next_a, out_a), (next_b, out_b) = imm_step(bank, 0.72, u), imm_step(copy, 0.72, u)
+        assert repr(next_a._floats) == repr(next_b._floats)
+        assert repr(out_a._floats) == repr(out_b._floats)
+        moved = dataclasses.replace(bank, mu=[0.2, 0.3, 0.5])
+        np.testing.assert_array_equal(moved.mu, [0.2, 0.3, 0.5])
