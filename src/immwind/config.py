@@ -115,6 +115,16 @@ class ExperimentConfig:
         )
 
     def surface(self) -> CpSurface:
+        """The nominal Cp surface, built on the first call and kept by this
+        instance, so the seeds of a run share it (and the optimum that the
+        controller scans once per surface)."""
+        surface = vars(self).get("_surface")
+        if surface is None:
+            surface = self._build_surface()
+            object.__setattr__(self, "_surface", surface)
+        return surface
+
+    def _build_surface(self) -> CpSurface:
         if self.cp_table == "builtin-grid":
             return default_grid_surface()
         if self.cp_table == "builtin-analytic":

@@ -35,13 +35,13 @@ _C6 = 0.0068
 class CpSurface:
     """Common evaluation contract for Cp surfaces.
 
-    Subclasses implement ``_base_value`` and ``_base_with_partials`` (and
-    may implement ``_base_with_dlam``) on the un-offset base map at
-    inputs already clamped to the bounds.  The public methods hold the
-    clamp rules: inputs are clamped to the bounds, the offset is added
-    and the value is clamped to [0, CP_CEILING]; partials are taken
-    before the value clamp and forced to zero in any direction whose
-    input clamp engaged.
+    Subclasses implement ``_base_value`` and ``_base_with_partials`` on
+    the un-offset base map at inputs already clamped to the bounds.  The
+    public methods, and the pitch-fixed lookups of ``at_pitch``, hold
+    the clamp rules: inputs are clamped to the bounds, the offset is
+    added and the value is clamped to [0, CP_CEILING]; partials are
+    taken before the value clamp and forced to zero in any direction
+    whose input clamp engaged.
     """
 
     offset: float
@@ -53,9 +53,6 @@ class CpSurface:
 
     def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
         raise NotImplementedError
-
-    def _base_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
-        return self._base_with_partials(lam, theta)[:2]
 
     def _clamped_base(self, lam: float, theta: float) -> float:
         lam_lo, lam_hi = self.lam_bounds
@@ -73,19 +70,6 @@ class CpSurface:
         """
         val = self._clamped_base(lam, theta) + self.offset + extra_offset
         return 0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val
-
-    def evaluate_offsets(self, lam: float, theta: float, offsets) -> list[float]:
-        """Cp at (lam, theta) of this surface's base map under each offset, from one lookup.
-
-        Entry j equals ``evaluate`` on the surface that has this one's
-        base map and the offset ``offsets[j]`` in place of its own.
-        """
-        base = self._clamped_base(lam, theta)
-        values = []
-        for offset in offsets:
-            val = base + offset
-            values.append(0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val)
-        return values
 
     def shares_base(self, other: CpSurface) -> bool:
         """Whether ``other`` differs from this surface in its offset alone."""
@@ -121,20 +105,13 @@ class CpSurface:
             0.0 if theta_out else d_theta,
         )
 
-    def eval_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
-        """(value, dCp/dlam): ``eval_with_partials`` without the pitch partial."""
-        lam_lo, lam_hi = self.lam_bounds
-        th_lo, th_hi = self.theta_bounds
-        lam_out = lam < lam_lo or lam > lam_hi
-        val, d_lam = self._base_with_dlam(
-            lam_lo if lam < lam_lo else lam_hi if lam_out else lam,
-            th_lo if theta < th_lo else th_hi if theta > th_hi else theta,
-        )
-        val += self.offset
-        return (
-            0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val,
-            0.0 if lam_out else d_lam,
-        )
+    def at_pitch(self, theta: float) -> CpAtPitch:
+        """Lookups of this surface's base map at the pitch ``theta``, clamped once.
+
+        The lookup takes the offset per call, so one serves every
+        surface that differs from this one in its offset alone.
+        """
+        return CpAtPitch(self, theta)
 
     def with_offset(self, delta: float) -> CpSurface:
         """Copy of this surface with ``delta`` added to its offset.
@@ -145,6 +122,78 @@ class CpSurface:
         copy = object.__new__(type(self))
         vars(copy).update(vars(self), offset=self.offset + delta)
         return copy
+
+
+class CpAtPitch:
+    """Lookups of a surface's base map at one pitch, clamped to the bounds once.
+
+    ``eval_with_dlam(lam, offset)`` is (Cp, dCp/dlam) and
+    ``evaluate_offsets(lam, offsets)`` the Cp under each offset, at
+    (lam, pitch) on the surface with this base map and the given offset
+    in place of its own: equal bit for bit to ``eval_with_partials``'s
+    first two entries and to ``evaluate`` on that surface.
+    """
+
+    __slots__ = ("_surface", "_theta", "_lam_bounds")
+
+    def __init__(self, surface: CpSurface, theta: float) -> None:
+        th_lo, th_hi = surface.theta_bounds
+        self._surface = surface
+        self._theta = th_lo if theta < th_lo else th_hi if theta > th_hi else theta
+        self._lam_bounds = surface.lam_bounds
+
+    def _base_at(self, lam: float) -> tuple[float, float]:
+        """(base value, dCp/dlam) at a lambda already clamped to the bounds."""
+        return self._surface._base_with_partials(lam, self._theta)[:2]
+
+    def eval_with_dlam(self, lam: float, offset: float) -> tuple[float, float]:
+        lam_lo, lam_hi = self._lam_bounds
+        lam_out = lam < lam_lo or lam > lam_hi
+        val, d_lam = self._base_at(lam_lo if lam < lam_lo else lam_hi if lam_out else lam)
+        val += offset
+        return (
+            0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val,
+            0.0 if lam_out else d_lam,
+        )
+
+    def evaluate_offsets(self, lam: float, offsets) -> list[float]:
+        lam_lo, lam_hi = self._lam_bounds
+        base = self._base_at(lam_lo if lam < lam_lo else lam_hi if lam > lam_hi else lam)[0]
+        values = []
+        for offset in offsets:
+            val = base + offset
+            values.append(0.0 if val < 0.0 else CP_CEILING if val > CP_CEILING else val)
+        return values
+
+
+class _GridAtPitch(CpAtPitch):
+    """``CpAtPitch`` of a grid: the pitch's column of the cell table and its
+    weight across the cell, found once; a lookup is one lambda bisection
+    and one fetch."""
+
+    __slots__ = ("_lam_axis", "_lam_hi", "_column", "_u")
+
+    def __init__(self, grid: GridCpSurface, theta: float) -> None:
+        lam_axis, lam_hi, theta_axis, theta_hi, columns = grid._search
+        th_lo, th_hi = grid.theta_bounds
+        theta = th_lo if theta < th_lo else th_hi if theta > th_hi else theta
+        column = columns[bisect.bisect_right(theta_axis, theta, 1, theta_hi) - 1]
+        _, _, theta0, theta_w = column[0][:4]
+        self._lam_bounds = grid.lam_bounds
+        self._lam_axis = lam_axis
+        self._lam_hi = lam_hi
+        self._column = column
+        self._u = (theta - theta0) / theta_w
+
+    def _base_at(self, lam: float) -> tuple[float, float]:
+        lam0, lam_w, _, _, a0, da, b0, db, c0, dc, e0, de, _, _, _, _ = self._column[
+            bisect.bisect_right(self._lam_axis, lam, 1, self._lam_hi) - 1
+        ]
+        t = (lam - lam0) / lam_w
+        u = self._u
+        a = a0 + t * da
+        c = c0 + t * dc
+        return a + u * (b0 + t * db - a), c + u * (e0 + t * de - c)
 
 
 @dataclass(frozen=True)
@@ -211,7 +260,9 @@ class GridCpSurface(CpSurface):
 
     A lookup finds its cell by one bisection per axis and fetches the
     cell's entry from a table built once per base map (``with_offset``
-    copies share it): the cell's lambda and theta origins and widths,
+    copies share it), held as one column of cells per pitch interval so
+    that ``at_pitch`` finds its column once: the entry holds the cell's
+    lambda and theta origins and widths,
     then for the values, the lambda partials and the theta partials in
     turn, the corners at the cell's lower and upper theta, each with its
     difference across the cell in lambda.  The interpolation
@@ -252,10 +303,13 @@ class GridCpSurface(CpSurface):
 
     def _cell(self, lam: float, theta: float) -> tuple[float, ...]:
         """The table entry of the cell holding (lam, theta); the edge cells extend outward."""
-        lam_axis, lam_hi, theta_axis, theta_hi, cells = self._search
-        return cells[bisect.bisect_right(lam_axis, lam, 1, lam_hi) - 1][
-            bisect.bisect_right(theta_axis, theta, 1, theta_hi) - 1
+        lam_axis, lam_hi, theta_axis, theta_hi, columns = self._search
+        return columns[bisect.bisect_right(theta_axis, theta, 1, theta_hi) - 1][
+            bisect.bisect_right(lam_axis, lam, 1, lam_hi) - 1
         ]
+
+    def at_pitch(self, theta: float) -> CpAtPitch:
+        return _GridAtPitch(self, theta)
 
     def _base_value(self, lam: float, theta: float) -> float:
         lam0, lam_w, theta0, theta_w, a0, da, b0, db = self._cell(lam, theta)[:8]
@@ -263,14 +317,6 @@ class GridCpSurface(CpSurface):
         u = (theta - theta0) / theta_w
         a = a0 + t * da
         return a + u * (b0 + t * db - a)
-
-    def _base_with_dlam(self, lam: float, theta: float) -> tuple[float, float]:
-        lam0, lam_w, theta0, theta_w, a0, da, b0, db, c0, dc, e0, de = self._cell(lam, theta)[:12]
-        t = (lam - lam0) / lam_w
-        u = (theta - theta0) / theta_w
-        a = a0 + t * da
-        c = c0 + t * dc
-        return a + u * (b0 + t * db - a), c + u * (e0 + t * de - c)
 
     def _base_with_partials(self, lam: float, theta: float) -> tuple[float, float, float]:
         lam0, lam_w, theta0, theta_w, a0, da, b0, db, c0, dc, e0, de, g0, dg, h0, dh = (
@@ -323,7 +369,8 @@ class GridCpSurface(CpSurface):
 
 
 def _cell_table(lam: np.ndarray, theta: np.ndarray, grids) -> tuple[tuple[tuple, ...], ...]:
-    """Entry [i][j]: cell (i, j)'s ``GridCpSurface`` lookup tuple over ``grids``.
+    """Entry [j][i]: the ``GridCpSurface`` lookup tuple over ``grids`` of the cell
+    of lambda interval i and theta interval j.
 
     The floats are taken from one ``tolist`` per array, so neighbouring
     cells share their objects.
@@ -339,7 +386,7 @@ def _cell_table(lam: np.ndarray, theta: np.ndarray, grids) -> tuple[tuple[tuple,
             a, d = grid_lower[i], grid_across[i]
             corners += (a, d, a[1:], d[1:])
         rows.append(tuple(zip(repeat(lam0[i]), repeat(lam_w[i]), theta0, theta_w, *corners)))
-    return tuple(rows)
+    return tuple(zip(*rows))
 
 
 @functools.cache

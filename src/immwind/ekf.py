@@ -7,12 +7,15 @@ models used in tests.  Filter state is a value: ``predict`` and
 ``update`` return new states and never mutate their inputs.
 
 The paper's filters have two states and one measured channel.  That
-shape runs on a kernel over Python floats (``transition2``,
-``measurement2``, ``propagate2``, ``correct2``), where numpy's per-call
-overhead would outweigh the 2x2 arithmetic; every other shape runs on
-the batched numpy kernel (``propagate``, ``correct``).  The records the
-float kernel returns hold its floats and build their ndarray fields
-only when those are read (``float_backed``).
+shape runs on a kernel over Python floats, where numpy's per-call
+overhead would outweigh the 2x2 arithmetic: a turbine filter on steps
+written out for the turbine's structure (``propagate_walk`` for
+F = [[f00, f01], [0, 1]], ``correct_first`` for H = (1, 0)), any other
+model on general 2x2 algebra (``transition2``, ``measurement2``,
+``propagate2``, ``correct2``).  Every other shape runs on the batched
+numpy kernel (``propagate``, ``correct``).  The records the float
+kernel returns hold its floats and build their ndarray fields only
+when those are read (``float_backed``).
 """
 
 from __future__ import annotations
@@ -194,8 +197,6 @@ def is_scalar2(x: np.ndarray, R: np.ndarray) -> bool:
 
 def transition2(model, x0: float, x1: float, u) -> tuple[float, ...]:
     """f(x) and F of a 2-state model at x = (x0, x1): (f0, f1, F00, F01, F10, F11)."""
-    if type(model) is TurbineModel:
-        return (*model.f_and_jac(x0, x1, u), 0.0, 1.0)
     x = np.array((x0, x1))
     f = np.asarray(model.f(x, u), dtype=float).reshape(2).tolist()
     return (*f, *np.asarray(model.jac_f(x, u), dtype=float).reshape(4).tolist())
@@ -203,8 +204,6 @@ def transition2(model, x0: float, x1: float, u) -> tuple[float, ...]:
 
 def measurement2(model, x0: float, x1: float, u) -> tuple[float, float, float]:
     """h(x) and H's row of a 2-state, one-channel model at x = (x0, x1): (h, H0, H1)."""
-    if type(model) is TurbineModel:  # measures the rotor speed, the first state
-        return x0, 1.0, 0.0
     x = np.array((x0, x1))
     h = np.asarray(model.h(x, u), dtype=float).reshape(1).tolist()
     return (*h, *np.asarray(model.jac_h(x, u), dtype=float).reshape(2).tolist())
@@ -256,6 +255,47 @@ def correct2(x0: float, x1: float, P, z: float, h0: float, h1: float, r: float):
     return x0, x1, (u00, off, off, u11), S, l0, l1
 
 
+# -- the turbine's structure: F's bottom row is (0, 1), H = (1, 0) --------
+#
+# Each step equals its general counterpart above with those entries put
+# in, bit for bit, for finite input whose off-diagonal entries of P and Q
+# are not -0.0 (filters never make one): a product by 0 or 1 is dropped
+# only where the sum it enters is unchanged by it.
+
+
+def propagate_walk(P, f00: float, f01: float, Q) -> tuple[float, float, float, float]:
+    """``propagate2`` for F = [[f00, f01], [0, 1]], whose second state F carries through."""
+    p00, p01, p10, p11 = P
+    q00, q01, q10, q11 = Q
+    a00 = f00 * p00 + f01 * p10  # the top row of F P; its bottom row is P's
+    a01 = f00 * p01 + f01 * p11
+    off = 0.5 * ((a01 + q01) + (p10 * f00 + p11 * f01 + q10))
+    return a00 * f00 + a01 * f01 + q00, off, off, p11 + q11
+
+
+def correct_first(x0: float, x1: float, P, z: float, r: float):
+    """``correct2`` for H = (1, 0), a measurement of the first state."""
+    p00, p01, p10, p11 = P
+    S = p00 + r
+    if not S > 0.0:
+        raise NumericalError(f"innovation covariance S={S} is not positive")
+    l0 = p00 / S
+    l1 = p10 / S
+    x0 = x0 + l0 * z
+    x1 = x1 + l1 * z
+    m00 = 1.0 - l0
+    u00 = m00 * p00
+    u11 = p11 - l1 * p01
+    off = 0.5 * (m00 * p01 + (p10 - l1 * p00))
+    isfinite = math.isfinite
+    if not (isfinite(x0) and isfinite(x1) and isfinite(u00) and isfinite(off) and isfinite(u11)):
+        raise NumericalError(
+            f"state or covariance is not finite after the correction: "
+            f"x=({x0}, {x1}), P=({u00}, {off}, {u11})"
+        )
+    return x0, x1, (u00, off, off, u11), S, l0, l1
+
+
 def scalar_measurement(y) -> float:
     """A one-channel measurement given as a float or a size-1 array."""
     if type(y) is float:
@@ -269,9 +309,9 @@ def scalar_measurement(y) -> float:
 # -- value-style filter steps ---------------------------------------------
 
 
-# A single filter takes the float kernel for a turbine model measuring one
-# channel; a generic model's f, jac_f, h and jac_h build arrays anyway, so
-# a single filter on one keeps the numpy kernel.
+# A single filter takes the float kernel, on the turbine's structure, for a
+# turbine model measuring one channel; a generic model's f, jac_f, h and
+# jac_h build arrays anyway, so a single filter on one keeps the numpy kernel.
 
 
 def _kernel_floats(state: EstimatorState, noise: NoiseModel):
@@ -289,8 +329,8 @@ def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorStat
     floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
     if floats is not None:
         x0, x1, P = floats
-        f0, f1, *F = transition2(model, x0, x1, u)
-        return EstimatorState._of_floats((f0, f1, propagate2(P, F, noise.q_entries)))
+        f0, f1, f00, f01 = model.f_and_jac(x0, x1, u.torque, model.cp.at_pitch(u.pitch))
+        return EstimatorState._of_floats((f0, f1, propagate_walk(P, f00, f01, noise.q_entries)))
     x = state.x
     F = model.jac_f(x, u)
     x = np.asarray(model.f(x, u), dtype=float).reshape(-1)
@@ -306,9 +346,8 @@ def update(
     floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
     if floats is not None:
         x0, x1, P = floats
-        h, h0, h1 = measurement2(model, x0, x1, u)
-        z = scalar_measurement(y) - h
-        x0, x1, P, S, l0, l1 = correct2(x0, x1, P, z, h0, h1, noise.R.item())
+        z = scalar_measurement(y) - x0  # a turbine model measures its first state
+        x0, x1, P, S, l0, l1 = correct_first(x0, x1, P, z, noise.R.item())
         return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S, l0, l1))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x = state.x

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,37 +201,40 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
     nominal = TurbineModel(params, cp0)
     kf_state = ekf.EstimatorState(x0, P0)
 
-    v_imm = np.empty(n)
-    cp_imm = np.empty(n)
-    mu = np.empty((n, len(bank.models)))
-    v_kf = np.empty(n)
-    cp_kf = np.empty(n)
-
-    v_imm[0] = v_kf[0] = x0[1]
-    mu[0] = bank.mu
-    cp_imm[0] = imm.estimate_cp(bank, x0, float(traj.pitch[0]))
-    cp_kf[0] = nominal.cp_at(x0, float(traj.pitch[0]))
+    # the loop reads the input series as floats through memoryviews and appends
+    # the estimates to float arrays: either holds 8 bytes a value, as an
+    # ndarray does, where a list holds a float object of 32 bytes
+    pitch, torque, y_meas = memoryview(traj.pitch), memoryview(traj.tau_g), memoryview(traj.y_meas)
+    v_imm = array("d", [x0[1]])
+    cp_imm = array("d", [imm.estimate_cp(bank, x0, pitch[0])])
+    mu = array("d", bank.mu.tolist())  # row-major (n, modes)
+    v_kf = array("d", [x0[1]])
+    cp_kf = array("d", [nominal.cp_at(x0, pitch[0])])
 
     try:
         for k in range(1, n):
-            u_prev = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
-            y_k = float(traj.y_meas[k])
+            u_prev = ControlInput(pitch[k - 1], torque[k - 1])
+            y_k = y_meas[k]
             estimator = "imm"
             bank, out = imm.imm_step(bank, y_k, u_prev)
             estimator = "kf"
             pred = ekf.predict(kf_state, u_prev, nominal, noise)
             kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
             # the paper's filter shape runs on the float kernel: read its floats
-            _, v_imm[k], _, mu[k] = out._floats
-            cp_imm[k] = out.cp_estimate
+            _, v, _, post = out._floats
+            v_imm.append(v)
+            mu.extend(post)
+            cp_imm.append(out.cp_estimate)
             x_kf = kf_state._floats[:2]
-            v_kf[k] = x_kf[1]
-            cp_kf[k] = nominal.cp_at(x_kf, u_prev.pitch)
+            v_kf.append(x_kf[1])
+            cp_kf.append(nominal.cp_at(x_kf, u_prev.pitch))
     except NumericalError as exc:
         raise NumericalError(f"{estimator} step {k}, t={k * config.dt:.2f} s: {exc}") from exc
+    # the ndarrays share the float arrays' buffers, with no copy
+    v_imm, cp_imm, mu, v_kf, cp_kf = map(np.frombuffer, (v_imm, cp_imm, mu, v_kf, cp_kf))
     return dict(
         seed=seed, trajectory=traj, schedule=schedule,
-        v_imm=v_imm, cp_imm=cp_imm, mu=mu, v_kf=v_kf, cp_kf=cp_kf,
+        v_imm=v_imm, cp_imm=cp_imm, mu=mu.reshape(n, -1), v_kf=v_kf, cp_kf=cp_kf,
     )
 
 

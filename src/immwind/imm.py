@@ -266,7 +266,7 @@ def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
         mu = bank.mu
     if bank._cp_base is not None:
         model, offsets = bank._cp_base
-        values = model.cp_at_offsets(x, pitch, offsets)
+        values = model.cp_at_offsets(float(x[0]), float(x[1]), model.cp.at_pitch(pitch), offsets)
     elif all(isinstance(m, TurbineModel) for m in bank.models):
         values = [model.cp_at(x, pitch) for model in bank.models]
     else:
@@ -298,7 +298,12 @@ def _mix2(w, posts) -> tuple[float, float, tuple[float, float, float, float]]:
 
 
 def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
-    """``imm_step`` for 2-state filters measuring one channel, over Python floats."""
+    """``imm_step`` for 2-state filters measuring one channel, over Python floats.
+
+    The paper's bank, turbine filters on one base Cp map, runs each
+    filter on the turbine's structure and finds the pitch's place on
+    that map once per cycle, for the filters and the Cp estimate alike.
+    """
     Q = bank.noise.q_entries
     r = bank.noise.R.item()
     floats = vars(bank).get("_floats")
@@ -309,41 +314,68 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
         mu = bank.mu.tolist()
     else:
         filters, mu = floats
+    shared = bank._cp_base
+    if shared is not None:
+        cp_model, offsets = shared
+        cp_at = cp_model.cp.at_pitch(u.pitch)
+        torque = u.torque
+    exp, sqrt, two_pi = math.exp, math.sqrt, 2.0 * math.pi
     posts, weighted = [], []
     for j, (model, (x0, x1, P)) in enumerate(zip(bank.models, filters)):
         try:
-            f0, f1, *F = ekf.transition2(model, x0, x1, u)
-            P = ekf.propagate2(P, F, Q)
-            h, h0, h1 = ekf.measurement2(model, f0, f1, u)
-            z = y - h
-            x0, x1, P, S, _, _ = ekf.correct2(f0, f1, P, z, h0, h1, r)
+            if shared is not None:  # F = [[f00, f01], [0, 1]] and H = (1, 0)
+                f0, f1, f00, f01 = model.f_and_jac(x0, x1, torque, cp_at)
+                z = y - f0
+                P = ekf.propagate_walk(P, f00, f01, Q)
+                x0, x1, P, S, _, _ = ekf.correct_first(f0, f1, P, z, r)
+            else:
+                f0, f1, *F = ekf.transition2(model, x0, x1, u)
+                P = ekf.propagate2(P, F, Q)
+                h, h0, h1 = ekf.measurement2(model, f0, f1, u)
+                z = y - h
+                x0, x1, P, S, _, _ = ekf.correct2(f0, f1, P, z, h0, h1, r)
         except NumericalError as exc:
             raise NumericalError(f"{bank._mode_name(j)}: {exc}") from exc
         posts.append((x0, x1, P))
-        weighted.append(mu[j] * _likelihood1(z, S))
+        weighted.append(mu[j] * (exp(-0.5 * z * z / S) / sqrt(two_pi * S)))  # _likelihood1 inline
     # Bayes: floored posterior, or the prior carried over if every likelihood underflowed
     total = sum(weighted)
     underflow = not total > 0.0
     if underflow:
         post = mu
-    else:
-        post = [max(w / total, MU_FLOOR) for w in weighted]
-        total = sum(post)
-        post = [p / total for p in post]
+    else:  # loops, not comprehensions, which build a frame per call before Python 3.12
+        floored = []
+        for w in weighted:
+            p = w / total
+            floored.append(MU_FLOOR if MU_FLOOR > p else p)  # max(p, MU_FLOOR)
+        total = sum(floored)
+        post = []
+        for p in floored:
+            post.append(p / total)
 
     xc0, xc1, P_c = _mix2(post, posts)  # combination: one weight column
-    cp_hat = estimate_cp(bank, (xc0, xc1), getattr(u, "pitch", 0.0), mu=post)
+    if shared is None:
+        cp_hat = estimate_cp(bank, (xc0, xc1), getattr(u, "pitch", 0.0), mu=post)
+    else:  # estimate_cp on the cycle's pitch lookup
+        cp_hat = 0.0
+        for w, cp in zip(post, cp_model.cp_at_offsets(xc0, xc1, cp_at, offsets)):
+            cp_hat += w * cp
 
     # Markov prediction and mixing, one transition-matrix column per mode
     prior, mixed = [], []
     for column in bank._columns:
-        joint = [p * q for p, q in zip(column, post)]  # pi_ij mu_i
+        joint = []
+        for p, q in zip(column, post):
+            joint.append(p * q)  # pi_ij mu_i
         total = sum(joint)
         if not total > 0.0:
             prior = [sum(p * q for p, q in zip(col, post)) for col in bank._columns]
             raise NumericalError(f"predicted mode probabilities contain zeros: {prior}")
         prior.append(total)
-        mixed.append(_mix2([w / total for w in joint], posts))
+        weights = []
+        for w in joint:
+            weights.append(w / total)
+        mixed.append(_mix2(weights, posts))
     out = ImmOutput._of_floats((xc0, xc1, P_c, post), cp_estimate=cp_hat)
     return bank._advanced(underflow, _floats=(mixed, prior)), out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import CpSurface
+from .cp import CpAtPitch, CpSurface
 from .errors import DomainError
 
 OMEGA_FLOOR = 0.05  # rad/s, guards the 1/omega singularity of the torque
@@ -215,24 +215,29 @@ class TurbineModel:
 
     def __post_init__(self) -> None:
         p = self.params
-        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row form them
+        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row
+        # form them, and the surface's offset
         k = 0.5 * p.air_density * math.pi * p.radius**2
-        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia))
+        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia, self.cp.offset))
 
-    def f_and_jac(self, x0: float, x1: float, u: ControlInput) -> tuple[float, float, float, float]:
+    def f_and_jac(
+        self, x0: float, x1: float, torque: float, cp_at: CpAtPitch
+    ) -> tuple[float, float, float, float]:
         """``f`` and ``jac_f`` at the state (x0, x1) as floats, from one Cp lookup.
 
-        Returns (f0, f1, F00, F01), equal bit for bit to ``f(x, u)`` and
-        the top row of ``jac_f(x, u)``, whose helpers it inlines; F's
-        bottom row is always (0, 1).
+        ``cp_at`` is ``at_pitch(pitch)`` of this model's surface, or of
+        any surface that differs from it in its offset alone.  Returns
+        (f0, f1, F00, F01), equal bit for bit to ``f(x, u)`` and the top
+        row of ``jac_f(x, u)`` at u = (pitch, torque), whose helpers it
+        inlines; F's bottom row is always (0, 1).
         """
         omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0  # max(x0, OMEGA_FLOOR), as _floored
         v = V_FLOOR if V_FLOOR > x1 else x1
-        radius, k, a = self._constants
-        cp_val, dcp_dlam = self.cp.eval_with_dlam(omega * radius / v, u.pitch)
+        radius, k, a, offset = self._constants
+        cp_val, dcp_dlam = cp_at.eval_with_dlam(omega * radius / v, offset)
         v2 = v**2
         kcv3 = k * cp_val * v**3
-        omega_next = omega + a * (kcv3 / omega - u.torque)
+        omega_next = omega + a * (kcv3 / omega - torque)
         dtau_domega = k * v2 * radius * dcp_dlam / omega - kcv3 / omega**2
         dtau_dv = 3.0 * k * cp_val * v2 / omega - k * radius * v * dcp_dlam
         return (
@@ -247,10 +252,12 @@ class TurbineModel:
         omega, v = _floored(x)
         return self.cp.evaluate(omega * self.params.radius / v, pitch)
 
-    def cp_at_offsets(self, x: np.ndarray, pitch: float, offsets) -> list[float]:
-        """``cp_at`` on this surface with each offset in ``offsets``, from one Cp lookup."""
-        omega, v = _floored(x)
-        return self.cp.evaluate_offsets(omega * self.params.radius / v, pitch, offsets)
+    def cp_at_offsets(self, x0: float, x1: float, cp_at: CpAtPitch, offsets) -> list[float]:
+        """``cp_at`` at the state (x0, x1) on this surface's base map under each
+        offset in ``offsets``, from one lookup of ``cp_at`` (as in ``f_and_jac``)."""
+        omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0
+        v = V_FLOOR if V_FLOOR > x1 else x1
+        return cp_at.evaluate_offsets(omega * self._constants[0] / v, offsets)
 
     def h(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return np.array([float(x[0])])

@@ -277,12 +277,17 @@ def test_fused_lookup_obeys_the_clamp_rules(kind, lam, theta, offset):
     offsets=st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=4),
 )
 def test_one_lookup_serves_every_offset(kind, lam, theta, offsets):
-    """Entry j equals ``evaluate`` on the surface with offset j, bit for bit, across the clamps."""
+    """A pitch-fixed lookup equals ``evaluate`` and ``eval_with_partials`` on the
+    surface with the offset it is given, bit for bit, across the clamps."""
     surf = SURFACES[kind].with_offset(0.1)
-    got = surf.evaluate_offsets(lam, theta, offsets)
-    want = [SURFACES[kind].with_offset(d).evaluate(lam, theta) for d in offsets]
-    assert got == want
-    assert all(surf.shares_base(SURFACES[kind].with_offset(d)) for d in offsets)
+    at = surf.at_pitch(theta)
+    shifted = [SURFACES[kind].with_offset(d) for d in offsets]
+    assert hexes(*at.evaluate_offsets(lam, offsets)) == hexes(
+        *(s.evaluate(lam, theta) for s in shifted)
+    )
+    for d, s in zip(offsets, shifted):
+        assert hexes(*at.eval_with_dlam(lam, d)) == hexes(*s.eval_with_partials(lam, theta)[:2])
+    assert all(surf.shares_base(s) for s in shifted)
 
 
 def test_shares_base_tells_surfaces_apart():
@@ -363,8 +368,9 @@ def test_cell_table_equals_the_plain_bilinear_form(case, offset):
     d_theta = d_theta if theta == theta_c else 0.0
     assert hexes(surf.evaluate(lam, theta)) == hexes(val)
     assert hexes(*surf.eval_with_partials(lam, theta)) == hexes(val, d_lam, d_theta)
-    assert hexes(*surf.eval_with_dlam(lam, theta)) == hexes(val, d_lam)
-    assert hexes(*surf.evaluate_offsets(lam, theta, [offset])) == hexes(val)
+    at = surf.at_pitch(theta)
+    assert hexes(*at.eval_with_dlam(lam, offset)) == hexes(val, d_lam)
+    assert hexes(*at.evaluate_offsets(lam, [offset])) == hexes(val)
 
 
 def test_grid_arrays_are_read_only_and_copies_share_the_cell_table():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -180,6 +181,36 @@ class TestRunExperiment:
         assert calls == {"sample": 1, "table": 1, "scan": 1}
         run_experiment(tiny_config(seeds=(2, 3), duration_s=5.0, settle_s=1.0))
         assert calls == {"sample": 1, "table": 1, "scan": 1}
+
+    @pytest.mark.parametrize("table", ["csv", "builtin-analytic"])
+    def test_surface_built_once_per_run(self, tmp_path, monkeypatch, table):
+        """A run's seeds share one surface: a CSV table is read and tabled once,
+        the analytic surface built once, and either one's optimum scanned once."""
+        if table == "csv":
+            table = str(tmp_path / "cp.csv")
+            cp.default_grid_surface().to_csv(table)
+        calls = {"build": 0, "table": 0, "scan": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cp.GridCpSurface, "from_csv",
+                            classmethod(counted("build", cp.GridCpSurface.from_csv.__func__)))
+        monkeypatch.setattr(cp.AnalyticCpSurface, "__post_init__",
+                            counted("build", cp.AnalyticCpSurface.__post_init__))
+        monkeypatch.setattr(cp, "_cell_table", counted("table", cp._cell_table))
+        scan = plant.BaselineController._surface_optimum
+        monkeypatch.setattr(plant.BaselineController, "_surface_optimum",
+                            staticmethod(counted("scan", scan)))
+        monkeypatch.setattr(plant, "_OPTIMA", weakref.WeakKeyDictionary())
+        res = run_experiment(
+            tiny_config(seeds=(1, 2, 3), duration_s=5.0, settle_s=1.0, cp_table=table)
+        )
+        assert res.aggregate.n_seeds == 3
+        assert calls == {"build": 1, "table": int(table.endswith(".csv")), "scan": 1}
 
     def test_failed_seed_reported_and_others_continue(self, monkeypatch):
         real = harness._run_estimators

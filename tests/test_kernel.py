@@ -23,13 +23,14 @@ from immwind import (
     ModeBank,
     NoiseModel,
     NumericalError,
+    TurbineModel,
     build_cp_mode_bank,
     imm_step,
     predict,
     symmetric_transition,
     update,
 )
-from immwind import imm
+from immwind import ekf, imm
 from immwind.imm import MU_FLOOR
 
 from conftest import LinearModel, random_psd
@@ -261,3 +262,154 @@ class TestFloatBackedRecords:
         assert repr(out_a._floats) == repr(out_b._floats)
         moved = dataclasses.replace(bank, mu=[0.2, 0.3, 0.5])
         np.testing.assert_array_equal(moved.mu, [0.2, 0.3, 0.5])
+
+
+# -- the paper's bank on the turbine's structure ---------------------------
+
+SURFACE_KINDS = ("grid", "analytic")
+
+
+def general_route(bank):
+    """The same bank taken through the general float kernel: f, jac_f, h and
+    jac_h read through ``transition2`` and ``measurement2``, the 2x2 algebra of
+    ``propagate2`` and ``correct2``, and each mode's Cp from ``cp_at``."""
+    twin = dataclasses.replace(bank)
+    twin._fixed["_cp_base"] = None
+    vars(twin)["_cp_base"] = None
+    return twin
+
+
+@st.composite
+def turbine_case(draw):
+    """A turbine bank, a measurement and an input.  The states reach below the
+    rotor and wind floors, lambda and pitch leave the surface bounds, and
+    offsets up to +-0.6 clamp Cp at 0 and at CP_CEILING."""
+    kind = draw(st.sampled_from(SURFACE_KINDS))
+    delta = draw(st.sampled_from([0.04, 0.2, 0.6]) | st.floats(0.0, 0.6))
+    x = [(draw(st.floats(-0.5, 3.0)), draw(st.floats(-2.0, 60.0))) for _ in range(3)]
+    P = []
+    for _ in range(3):
+        p00, p11 = draw(st.floats(1e-8, 1.0)), draw(st.floats(1e-6, 10.0))
+        p01 = draw(st.floats(-0.95, 0.95)) * math.sqrt(p00 * p11) + 0.0  # never -0.0
+        P.append([[p00, p01], [p01, p11]])
+    mu = np.array([draw(st.floats(0.01, 1.0)) for _ in range(3)])
+    q = (draw(st.floats(0.0, 1e-4)), draw(st.floats(1e-6, 1e-1)))
+    r = draw(st.floats(1e-12, 1e-2))
+    y = x[0][0] + draw(st.floats(-0.05, 0.05))
+    u = ControlInput(draw(st.floats(-0.3, 0.9)), draw(st.floats(0.0, 2e7)))
+    return kind, delta, x, P, mu / mu.sum(), q, r, y, u
+
+
+def bank_of(surface, params, case):
+    _, delta, x, P, mu, q, r, _, _ = case
+    offsets = (0.0, delta, -delta)
+    return ModeBank(
+        models=[TurbineModel(params, surface.with_offset(d)) for d in offsets],
+        x=x, P=P, mu=mu, transition=symmetric_transition(3, 0.99),
+        noise=NoiseModel(Q=np.diag([q[0] ** 2, q[1] ** 2]), R=[[r]]), offsets=offsets,
+    )
+
+
+def outcome(step, *args):
+    """repr of what a step returns, which tells every float apart bit for bit
+    (-0.0 from 0.0 too), or the NumericalError it raises."""
+    try:
+        return repr(step(*args))
+    except NumericalError:
+        return "NumericalError"
+
+
+def imm_cycle(bank, y, u):
+    new, out = imm_step(bank, y, u)
+    return new._floats, out._floats, out.cp_estimate, new.underflow_count
+
+
+def ekf_cycle(model, noise, x, P, y, u):
+    pred = predict(EstimatorState(x, P), u, model, noise)
+    state, report = update(pred, y, u, model, noise)
+    return pred._floats, state._floats, report._floats
+
+
+def ekf_cycle_general(model, noise, x, P, y, u):
+    """The single filter's cycle composed of the general float kernel's steps."""
+    f0, f1, *F = ekf.transition2(model, *x, u)
+    P = ekf.propagate2(np.ravel(P).tolist(), F, noise.q_entries)
+    pred = (f0, f1, P)
+    h, h0, h1 = ekf.measurement2(model, f0, f1, u)
+    z = y - h
+    x0, x1, P, S, l0, l1 = ekf.correct2(f0, f1, P, z, h0, h1, noise.R.item())
+    return pred, (x0, x1, P), (z, S, l0, l1)
+
+
+class TestTurbineStructure:
+    """The paper's bank and the nominal filter run on the turbine's structure
+    (F's bottom row (0, 1), H = (1, 0), one pitch lookup per cycle); that cycle
+    equals the general float kernel's composition bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=turbine_case())
+    @example(case=("grid", 0.04, [(0.01, 0.1), (3.0, 0.5), (0.05, 60.0)],  # floors; lambda out
+                   [[[1e-4, 0.0], [0.0, 1.0]]] * 3, np.full(3, 1 / 3), (1e-4, 0.05), 1e-10,
+                   0.02, ControlInput(-0.2, 1e6)))  # pitch below the bounds
+    @example(case=("analytic", 0.6, [(0.7, 8.0), (1.0, 9.0), (1.2, 12.0)],  # Cp at the
+                   [[[1e-4, 1e-5], [1e-5, 1.0]]] * 3, np.array([0.2, 0.3, 0.5]), (1e-4, 0.05),
+                   1e-10, 0.71, ControlInput(0.0, 5e6)))  # ceiling (mode 1) and at 0 (mode 2)
+    @example(case=("grid", 0.04, [(0.7, 8.0), (1.0, 9.0), (1.2, 12.0)],
+                   [[[1e-4, -1e-5], [-1e-5, 1.0]]] * 3, np.array([0.5, 0.3, 0.2]), (0.0, 0.05),
+                   1e-10, 0.69, ControlInput(0.8, 5e6)))  # pitch above the bounds
+    def test_cycles_equal_the_general_kernel_bit_for_bit(
+        self, params, grid_surface, analytic_surface, case
+    ):
+        surface = {"grid": grid_surface, "analytic": analytic_surface}[case[0]]
+        bank = bank_of(surface, params, case)
+        assert bank._cp_base is not None
+        y, u = case[-2:]
+        got = outcome(imm_cycle, bank, y, u)
+        assert got != "NumericalError"  # these draws stay finite: every float is compared
+        assert got == outcome(imm_cycle, general_route(bank), y, u)
+        for model, x, P in zip(bank.models, case[2], case[3]):
+            args = (model, bank.noise, np.array(x), np.array(P), y, u)
+            got = outcome(ekf_cycle, *args)
+            assert got != "NumericalError"
+            assert got == outcome(ekf_cycle_general, *args)
+
+    def test_failure_names_the_mode_and_its_offset(self, params, grid_surface):
+        """A correction that overflows in one mode of the paper's bank: a huge
+        residual times the large gain that mode 1's covariance gives its wind."""
+        P = np.stack([np.diag([0.01, 4.0])] * 3)
+        P[1] = [[1.0, 1e10], [1e10, 1e300]]
+        bank = ModeBank(
+            models=[TurbineModel(params, grid_surface.with_offset(d)) for d in (0.0, 0.04, -0.04)],
+            x=[[0.72, 8.0]] * 3, P=P, mu=np.full(3, 1 / 3), transition=symmetric_transition(3, 0.99),
+            noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]), offsets=(0.0, 0.04, -0.04),
+        )
+        assert bank._cp_base is not None
+        with pytest.raises(NumericalError, match=r"^mode 1 \(Cp offset \+0\.04\): state or "
+                                                 r"covariance is not finite after the correction: "
+                                                 r"x=\(.*, inf\)"):
+            imm_step(bank, 1e306, ControlInput(0.0, 5e6))
+
+    def test_turbine_bank_on_different_surfaces_matches_batched(
+        self, params, grid_surface, analytic_surface
+    ):
+        """Modes on different base maps take the general float kernel."""
+        surfaces = (grid_surface, analytic_surface, grid_surface.with_offset(0.04))
+        fast = slow = ModeBank(
+            models=[TurbineModel(params, s) for s in surfaces],
+            states=[EstimatorState(np.array([0.72, 8.0]), np.diag([0.01, 4.0]))] * 3,
+            mu=np.full(3, 1 / 3), transition=symmetric_transition(3, 0.99),
+            noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),
+        )
+        assert fast._cp_base is None
+        for k in range(30):
+            u = ControlInput(0.02 + 0.01 * math.sin(k), 5e6)
+            y = 0.72 + 1e-3 * math.sin(0.4 * k)
+            fast, out_fast = imm_step(fast, y, u)
+            slow, out_slow = imm._imm_step_batched(slow, y, u)
+            close(out_fast.x, out_slow.x)
+            close(out_fast.P, out_slow.P, float(np.abs(slow.x).max()) ** 2)
+            close(fast.x, slow.x)
+            close(fast.P, slow.P, float(np.abs(slow.x).max()) ** 2)
+            np.testing.assert_allclose(out_fast.mu, out_slow.mu, rtol=0, atol=MU_ATOL)
+            np.testing.assert_allclose(fast.mu, slow.mu, rtol=0, atol=MU_ATOL)
+            close(out_fast.cp_estimate, out_slow.cp_estimate)

@@ -212,12 +212,14 @@ class TestFusedStep:
         u = ControlInput(pitch, torque)
         F = model.jac_f(x, u)
         want = (*model.f(x, u).tolist(), *F[0].tolist())
-        got = model.f_and_jac(omega, v, u)
+        # the pitch lookup of the unshifted surface serves the shifted model
+        got = model.f_and_jac(omega, v, torque, surface.at_pitch(pitch))
         assert [g.hex() for g in got] == [w.hex() for w in want]
         assert F[1].tolist() == [0.0, 1.0]
 
     def test_cp_at_offsets_equals_cp_at(self, params, grid_surface):
         x = np.array([0.001, 40.0])  # omega below its floor, lambda below the grid
         models = [TurbineModel(params, grid_surface.with_offset(d)) for d in (0.0, 0.3, -0.4)]
-        got = models[0].cp_at_offsets(x, 0.1, [m.cp.offset for m in models])
+        at = grid_surface.at_pitch(0.1)
+        got = models[0].cp_at_offsets(0.001, 40.0, at, [m.cp.offset for m in models])
         assert got == [m.cp_at(x, 0.1) for m in models]
