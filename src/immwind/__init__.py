@@ -12,7 +12,6 @@ from .errors import ConfigError, DomainError, NumericalError
 from .harness import (
     ExperimentResult,
     RunMetrics,
-    cp_error_series,
     low_pass,
     run_experiment,
     wind_error_series,
@@ -49,9 +48,7 @@ from .turbine import (
     TurbineParameters,
     aero_torque,
     jacobian_f,
-    measure,
     step_dynamics,
-    tip_speed_ratio,
 )
 
 __version__ = "0.1.0"

@@ -128,20 +128,18 @@ class NoiseModel:
 
 
 @float_backed(
-    residual=lambda z, S, l0, l1: np.array((z,)),
-    innovation_cov=lambda z, S, l0, l1: np.array(((S,),)),
-    gain=lambda z, S, l0, l1: np.array(((l0,), (l1,))),
+    residual=lambda z, S: np.array((z,)),
+    innovation_cov=lambda z, S: np.array(((S,),)),
 )
 @dataclass(frozen=True, eq=False)
 class UpdateReport:
-    """Residual, innovation covariance and gain from one measurement update.
+    """Residual and innovation covariance from one measurement update.
 
-    On the float kernel ``_floats`` is (residual, S, gain0, gain1).
+    On the float kernel ``_floats`` is (residual, S).
     """
 
     residual: np.ndarray
     innovation_cov: np.ndarray
-    gain: np.ndarray
 
 
 @functools.cache  # np.eye(n) costs about as much as a small update's matrix products
@@ -167,8 +165,8 @@ def propagate(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def correct(
     x: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Correction by residual z; returns (x, P, S, gain); leading axes batch filters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correction by residual z; returns (x, P, S); leading axes batch filters.
 
     Raises NumericalError when an innovation covariance S is not positive definite.
     """
@@ -184,7 +182,7 @@ def correct(
         L = P @ H.mT @ np.linalg.inv(S)
         x = x + (L @ z[..., None])[..., 0]
     P = (_identity(x.shape[-1]) - L @ H) @ P
-    return x, 0.5 * (P + P.mT), S, L
+    return x, 0.5 * (P + P.mT), S
 
 
 # -- two states, one measured channel: the kernel over Python floats ------
@@ -225,7 +223,7 @@ def propagate2(P, F, Q) -> tuple[float, float, float, float]:
 def correct2(x0: float, x1: float, P, z: float, h0: float, h1: float, r: float):
     """Correction of a 2-state filter by a scalar residual z; P is a row-major 4-tuple.
 
-    Returns (x0, x1, P, S, L0, L1).  Raises NumericalError when the
+    Returns (x0, x1, P, S).  Raises NumericalError when the
     innovation covariance S is not positive or the corrected state or
     covariance is not finite.
     """
@@ -252,7 +250,7 @@ def correct2(x0: float, x1: float, P, z: float, h0: float, h1: float, r: float):
             f"state or covariance is not finite after the correction: "
             f"x=({x0}, {x1}), P=({u00}, {off}, {u11})"
         )
-    return x0, x1, (u00, off, off, u11), S, l0, l1
+    return x0, x1, (u00, off, off, u11), S
 
 
 # -- the turbine's structure: F's bottom row is (0, 1), H = (1, 0) --------
@@ -293,7 +291,7 @@ def correct_first(x0: float, x1: float, P, z: float, r: float):
             f"state or covariance is not finite after the correction: "
             f"x=({x0}, {x1}), P=({u00}, {off}, {u11})"
         )
-    return x0, x1, (u00, off, off, u11), S, l0, l1
+    return x0, x1, (u00, off, off, u11), S
 
 
 def scalar_measurement(y) -> float:
@@ -347,11 +345,11 @@ def update(
     if floats is not None:
         x0, x1, P = floats
         z = scalar_measurement(y) - x0  # a turbine model measures its first state
-        x0, x1, P, S, l0, l1 = correct_first(x0, x1, P, z, noise.R.item())
-        return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S, l0, l1))
+        x0, x1, P, S = correct_first(x0, x1, P, z, noise.R.item())
+        return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x = state.x
     H = model.jac_h(x, u)
     z = y - np.asarray(model.h(x, u), dtype=float).reshape(-1)
-    x, P, S, L = correct(x, state.P, z, H, noise.R)
-    return EstimatorState(x, P), UpdateReport(z, S, L)
+    x, P, S = correct(x, state.P, z, H, noise.R)
+    return EstimatorState(x, P), UpdateReport(z, S)

@@ -60,14 +60,6 @@ def wind_error_series(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
     return _percent_error(v_hat, v_true, V_FLOOR)
 
 
-def cp_error_series(
-    cp_hat: np.ndarray, cp_true: np.ndarray, dt: float
-) -> np.ndarray:
-    """Percent error against the low-passed Cp reference; NaN = excluded."""
-    ref = low_pass(cp_true, CP_REFERENCE_CUTOFF_HZ, dt)
-    return _percent_error(cp_hat, ref, CP_REFERENCE_FLOOR)
-
-
 @dataclass(frozen=True)
 class ErrorStats:
     """Mean/std of a scored percent-error series plus bookkeeping counts."""

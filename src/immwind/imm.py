@@ -38,8 +38,7 @@ class ModeBank:
     per-filter ``states`` or as the stacked ``x`` and ``P`` (which is
     how ``dataclasses.replace`` passes them); either way the new bank
     is validated.  ``mu`` holds the prior mode probabilities for the
-    next measurement; ``offsets`` records each mode's Cp offset for
-    reporting and error messages.  ``underflow_count`` counts the
+    next measurement.  ``underflow_count`` counts the
     cycles whose likelihoods all underflowed to zero (the probabilities
     are then carried through unchanged).
 
@@ -54,11 +53,10 @@ class ModeBank:
     mu: np.ndarray
     transition: np.ndarray
     noise: ekf.NoiseModel
-    offsets: tuple[float, ...] = ()
     underflow_count: int = 0
 
     def __init__(
-        self, models, states=None, mu=None, transition=None, noise=None, offsets=(),
+        self, models, states=None, mu=None, transition=None, noise=None,
         *, x=None, P=None, underflow_count=0,
     ):
         if mu is None or transition is None or noise is None:
@@ -76,7 +74,6 @@ class ModeBank:
             models=models,
             transition=transition,
             noise=noise,
-            offsets=tuple(offsets),
             _cp_base=_shared_cp_base(models),
             _columns=tuple(zip(*transition.tolist())),  # column j: pi_ij over i
         )
@@ -130,20 +127,23 @@ class ModeBank:
         return new
 
     def _mode_name(self, j: int) -> str:
-        if j < len(self.offsets):
-            return f"mode {j} (Cp offset {self.offsets[j]:+g})"
+        model = self.models[j]
+        if isinstance(model, TurbineModel):
+            return f"mode {j} (Cp offset {model.offset:+g})"
         return f"mode {j}"
 
 
 def _shared_cp_base(models) -> tuple[TurbineModel, tuple[float, ...]] | None:
-    """(first model, each mode's surface offset) when every mode is a turbine
-    model and the modes differ in their Cp surface's offset alone."""
+    """(first model, each mode's Cp offset) when every mode is a turbine model
+    and the modes differ in their offset alone, so that they share one lookup.
+
+    Surfaces compare by value, a grid's by identity.
+    """
     if models and all(
-        isinstance(m, TurbineModel) and m.params == models[0].params
-        and models[0].cp.shares_base(m.cp)
+        isinstance(m, TurbineModel) and m.params == models[0].params and m.cp == models[0].cp
         for m in models
     ):
-        return models[0], tuple(m.cp.offset for m in models)
+        return models[0], tuple(m.offset for m in models)
     return None
 
 
@@ -259,7 +259,7 @@ def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
     Uses the bank's stored probabilities unless ``mu`` is supplied
     (``imm_step`` passes the posterior of the current cycle).  Each
     mode's Cp is ``TurbineModel.cp_at``, which raises the state to the
-    domain floors; modes whose surfaces differ in offset alone share one
+    domain floors; modes that differ in their offset alone share one
     lookup.  Returns NaN when the bank's models are not turbine models.
     """
     if mu is None:
@@ -327,13 +327,13 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
                 f0, f1, f00, f01 = model.f_and_jac(x0, x1, torque, cp_at)
                 z = y - f0
                 P = ekf.propagate_walk(P, f00, f01, Q)
-                x0, x1, P, S, _, _ = ekf.correct_first(f0, f1, P, z, r)
+                x0, x1, P, S = ekf.correct_first(f0, f1, P, z, r)
             else:
                 f0, f1, *F = ekf.transition2(model, x0, x1, u)
                 P = ekf.propagate2(P, F, Q)
                 h, h0, h1 = ekf.measurement2(model, f0, f1, u)
                 z = y - h
-                x0, x1, P, S, _, _ = ekf.correct2(f0, f1, P, z, h0, h1, r)
+                x0, x1, P, S = ekf.correct2(f0, f1, P, z, h0, h1, r)
         except NumericalError as exc:
             raise NumericalError(f"{bank._mode_name(j)}: {exc}") from exc
         posts.append((x0, x1, P))
@@ -404,7 +404,7 @@ def _imm_step_batched(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
     H = np.array([model.jac_h(xj, u) for model, xj in zip(models, x)], dtype=float)
     hx = np.array([model.h(xj, u) for model, xj in zip(models, x)], dtype=float).reshape(m, -1)
     z = np.atleast_1d(np.asarray(y, dtype=float)) - hx
-    x, P, S, _ = ekf.correct(x, P, z, H, bank.noise.R)
+    x, P, S = ekf.correct(x, P, z, H, bank.noise.R)
     lams = np.array([likelihood(zj, Sj) for zj, Sj in zip(z, S)])
     underflow = not float(np.dot(bank.mu, lams)) > 0.0
     mu_post = update_mode_probs(bank.mu, lams)
@@ -428,7 +428,7 @@ def build_cp_mode_bank(
 ) -> ModeBank:
     """Three turbine filters with Cp offsets (0, +delta_cp, -delta_cp)."""
     offsets = (0.0, +float(delta_cp), -float(delta_cp))
-    models = tuple(TurbineModel(params, cp_nominal.with_offset(d)) for d in offsets)
+    models = tuple(TurbineModel(params, cp_nominal, d) for d in offsets)
     state0 = ekf.EstimatorState(x0, P0)
     mu0 = np.asarray(mu0, dtype=float)
     return ModeBank(
@@ -437,7 +437,6 @@ def build_cp_mode_bank(
         mu=mu0 / mu0.sum(),
         transition=np.asarray(transition, dtype=float),
         noise=noise,
-        offsets=offsets,
     )
 
 

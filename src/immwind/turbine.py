@@ -5,7 +5,9 @@ imbalance between aerodynamic and generator torque; the wind component
 is a random walk whose deterministic part is the identity.  The same
 discrete step and analytic Jacobian are used by the simulator and by
 every Kalman filter, so model mismatch in experiments comes only from
-the power-coefficient surface.
+the power-coefficient mapping: a Cp surface plus an additive offset,
+which the plant takes per step from its true-Cp schedule and each
+filter's ``TurbineModel`` holds as its mode's offset.
 """
 
 from __future__ import annotations
@@ -77,17 +79,11 @@ class ControlInput:
     torque: float
 
 
-def _check_floors(omega: float | None, v: float | None) -> None:
-    if omega is not None and omega < OMEGA_FLOOR:
+def _check_floors(omega: float, v: float) -> None:
+    if omega < OMEGA_FLOOR:
         raise DomainError(f"rotor speed {omega} rad/s is below the floor {OMEGA_FLOOR}")
-    if v is not None and v < V_FLOOR:
+    if v < V_FLOOR:
         raise DomainError(f"wind speed {v} m/s is below the floor {V_FLOOR}")
-
-
-def tip_speed_ratio(omega: float, v: float, radius: float) -> float:
-    """lambda = omega * R / v."""
-    _check_floors(None, v)
-    return omega * radius / v
 
 
 def _aero(
@@ -96,11 +92,11 @@ def _aero(
     pitch: float,
     params: TurbineParameters,
     cp: CpSurface,
-    extra_cp_offset: float = 0.0,
+    offset: float = 0.0,
 ) -> tuple[float, float]:
     """(Cp, aerodynamic torque) at a state checked against the floors."""
     _check_floors(omega, v)
-    cp_val = cp.evaluate(omega * params.radius / v, pitch, extra_cp_offset)
+    cp_val = cp.evaluate(omega * params.radius / v, pitch, offset)
     return cp_val, _torque(omega, v, cp_val, params)
 
 
@@ -120,14 +116,11 @@ def aero_torque(
     pitch: float,
     params: TurbineParameters,
     cp: CpSurface,
-    extra_cp_offset: float = 0.0,
+    offset: float = 0.0,
 ) -> float:
-    """Aerodynamic torque 0.5 rho pi R^2 Cp(lambda, theta) v^3 / omega.
-
-    ``extra_cp_offset`` shifts the surface without constructing a new
-    one; the plant uses it to apply its true-Cp deviation schedule.
-    """
-    return _aero(omega, v, pitch, params, cp, extra_cp_offset)[1]
+    """Aerodynamic torque 0.5 rho pi R^2 Cp(lambda, theta) v^3 / omega,
+    with ``offset`` added to the surface's Cp."""
+    return _aero(omega, v, pitch, params, cp, offset)[1]
 
 
 def step_dynamics(
@@ -144,10 +137,10 @@ def _step_core(
     torque: float,
     params: TurbineParameters,
     cp: CpSurface,
-    extra_cp_offset: float = 0.0,
+    offset: float = 0.0,
 ) -> tuple[float, float]:
     """(next rotor speed, the Cp that drove the step)."""
-    cp_val, tau_a = _aero(omega, v, pitch, params, cp, extra_cp_offset)
+    cp_val, tau_a = _aero(omega, v, pitch, params, cp, offset)
     return _euler(omega, tau_a, torque, params), cp_val
 
 
@@ -157,16 +150,17 @@ def jacobian_f(
     """Jacobian of ``step_dynamics`` with respect to the state.
 
     [[1 + dt/J * dtau/domega, dt/J * dtau/dv], [0, 1]], using the Cp
-    surface partials (taken before the value clamp).
+    surface's dCp/dlambda (taken before the value clamp).
     """
     _check_floors(x.omega, x.v)
     return _jacobian_core(x.omega, x.v, u.pitch, params, cp)
 
 
 def _jacobian_core(
-    omega: float, v: float, pitch: float, params: TurbineParameters, cp: CpSurface
+    omega: float, v: float, pitch: float, params: TurbineParameters, cp: CpSurface,
+    offset: float = 0.0,
 ) -> np.ndarray:
-    cp_val, dcp_dlam, _ = cp.eval_with_partials(omega * params.radius / v, pitch)
+    cp_val, dcp_dlam = cp.at_pitch(pitch).eval_with_dlam(omega * params.radius / v, offset)
     return np.array([_jacobian_row(omega, v, cp_val, dcp_dlam, params), (0.0, 1.0)])
 
 
@@ -181,11 +175,6 @@ def _jacobian_row(
     return 1.0 + a * dtau_domega, a * dtau_dv
 
 
-def measure(x: StateVector) -> float:
-    """The single measured output: rotor speed."""
-    return x.omega
-
-
 MEASUREMENT_JACOBIAN = np.array([[1.0, 0.0]])
 
 
@@ -198,43 +187,46 @@ def _floored(x: np.ndarray) -> tuple[float, float]:
 class TurbineModel:
     """Adapter exposing the turbine as an (f, h, jac_f, jac_h) model.
 
-    Filter estimates may transiently wander below the domain floors;
-    the adapter raises them to the floors before evaluating ``f``,
-    ``jac_f`` or ``cp_at``, which is exactly what the floors exist for.
+    The model's Cp is ``cp`` plus ``offset``, the additive offset of a
+    mode of the filter bank.  Filter estimates may transiently wander
+    below the domain floors; the adapter raises them to the floors
+    before evaluating ``f``, ``jac_f`` or ``cp_at``, which is exactly
+    what the floors exist for.
     """
 
     params: TurbineParameters
     cp: CpSurface
+    offset: float = 0.0
 
     def f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         omega, v = _floored(x)
-        return np.array([_step_core(omega, v, u.pitch, u.torque, self.params, self.cp)[0], v])
+        return np.array(
+            [_step_core(omega, v, u.pitch, u.torque, self.params, self.cp, self.offset)[0], v]
+        )
 
     def jac_f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
-        return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp)
+        return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp, self.offset)
 
     def __post_init__(self) -> None:
         p = self.params
-        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row
-        # form them, and the surface's offset
+        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row form them
         k = 0.5 * p.air_density * math.pi * p.radius**2
-        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia, self.cp.offset))
+        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia))
 
     def f_and_jac(
         self, x0: float, x1: float, torque: float, cp_at: CpAtPitch
     ) -> tuple[float, float, float, float]:
         """``f`` and ``jac_f`` at the state (x0, x1) as floats, from one Cp lookup.
 
-        ``cp_at`` is ``at_pitch(pitch)`` of this model's surface, or of
-        any surface that differs from it in its offset alone.  Returns
-        (f0, f1, F00, F01), equal bit for bit to ``f(x, u)`` and the top
-        row of ``jac_f(x, u)`` at u = (pitch, torque), whose helpers it
-        inlines; F's bottom row is always (0, 1).
+        ``cp_at`` is ``cp.at_pitch(pitch)``.  Returns (f0, f1, F00, F01),
+        equal bit for bit to ``f(x, u)`` and the top row of ``jac_f(x, u)``
+        at u = (pitch, torque), whose helpers it inlines; F's bottom row
+        is always (0, 1).
         """
         omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0  # max(x0, OMEGA_FLOOR), as _floored
         v = V_FLOOR if V_FLOOR > x1 else x1
-        radius, k, a, offset = self._constants
-        cp_val, dcp_dlam = cp_at.eval_with_dlam(omega * radius / v, offset)
+        radius, k, a = self._constants
+        cp_val, dcp_dlam = cp_at.eval_with_dlam(omega * radius / v, self.offset)
         v2 = v**2
         kcv3 = k * cp_val * v**3
         omega_next = omega + a * (kcv3 / omega - torque)
@@ -248,13 +240,13 @@ class TurbineModel:
         )
 
     def cp_at(self, x: np.ndarray, pitch: float) -> float:
-        """Cp of this model's surface at the filter state ``x``."""
+        """This model's Cp at the filter state ``x``."""
         omega, v = _floored(x)
-        return self.cp.evaluate(omega * self.params.radius / v, pitch)
+        return self.cp.evaluate(omega * self.params.radius / v, pitch, self.offset)
 
     def cp_at_offsets(self, x0: float, x1: float, cp_at: CpAtPitch, offsets) -> list[float]:
-        """``cp_at`` at the state (x0, x1) on this surface's base map under each
-        offset in ``offsets``, from one lookup of ``cp_at`` (as in ``f_and_jac``)."""
+        """``cp_at`` at the state (x0, x1) under each offset in ``offsets`` in
+        place of this model's, from one lookup of ``cp_at`` (as in ``f_and_jac``)."""
         omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0
         v = V_FLOOR if V_FLOOR > x1 else x1
         return cp_at.evaluate_offsets(omega * self._constants[0] / v, offsets)

@@ -171,6 +171,40 @@ class TestSurfaceSelection:
             ExperimentConfig(cp_table="/nonexistent/table.csv").surface()
 
 
+class TestCpTableErrors:
+    """A bad ``cp_table`` CSV fails with a ConfigError that names the file."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(cp_table=str(path)).surface()
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        return message[len(f"{path}: "):]
+
+    @pytest.mark.parametrize("text", [
+        ",0,5,inf\n1,0.4,0.4,0.4\n2,0.4,0.4,0.4\n",  # pitch header
+        ",0,5\n1,0.4,0.4\n5,0.4,0.4\ninf,0.4,0.4\n",  # lambda column
+        ",0,5\nnan,0.4,0.4\n2,0.4,0.4\n",
+    ])
+    def test_non_finite_axis(self, tmp_path, text):
+        assert self.load(tmp_path, text) == "grid axes must be finite"
+
+    def test_nan_cell(self, tmp_path):
+        assert self.load(tmp_path, ",0,5\n1,0.4,nan\n2,0.4,0.4\n") == "grid values must be finite"
+
+    def test_decreasing_axis(self, tmp_path):
+        assert self.load(tmp_path, ",5,0\n1,0.4,0.4\n2,0.4,0.4\n") == (
+            "grid axes must be strictly increasing"
+        )
+
+    def test_ragged_row(self, tmp_path):
+        assert self.load(tmp_path, ",0,5\n1,0.4,0.4\n\n2,0.4\n") == (
+            "ragged Cp table: row 4 has 2 cells, the pitch header 3"
+        )
+
+
 def write_tiny_config(path, **overrides):
     cfg = ExperimentConfig(duration_s=40.0, seeds=(1,), settle_s=10.0, **overrides)
     path.write_text(format_config(cfg), encoding="utf-8")

@@ -29,19 +29,19 @@ class TestGridEvaluation:
 
     def test_offset_is_additive_away_from_clamps(self):
         surf = quad_grid()
-        shifted = surf.with_offset(0.03)
         rng = np.random.default_rng(1)
         for _ in range(50):
             lam = rng.uniform(2.0, 12.0)
             th = rng.uniform(0.0, math.radians(20.0))
-            assert shifted.evaluate(lam, th) == pytest.approx(
+            assert surf.evaluate(lam, th, 0.03) == pytest.approx(
                 surf.evaluate(lam, th) + 0.03, abs=1e-14
             )
 
-    def test_extra_offset_matches_with_offset(self):
+    def test_offset_matches_a_shifted_base_map(self):
         surf = quad_grid()
+        shifted = GridCpSurface(surf.lam_axis, surf.theta_axis, surf.values + 0.02)
         assert surf.evaluate(7.3, 0.1, 0.02) == pytest.approx(
-            surf.with_offset(0.02).evaluate(7.3, 0.1), abs=1e-15
+            shifted.evaluate(7.3, 0.1), abs=1e-15
         )
 
     def test_clamp_beyond_bounds_equals_edge(self):
@@ -51,56 +51,45 @@ class TestGridEvaluation:
         assert surf.evaluate(5.0, 2.0) == surf.evaluate(5.0, float(surf.theta_axis[-1]))
 
     def test_value_clamped_to_betz_window(self):
-        high = GridCpSurface.constant(0.58).with_offset(0.2)
-        assert high.evaluate(5.0, 0.1) == CP_CEILING
-        low = GridCpSurface.constant(0.02).with_offset(-0.2)
-        assert low.evaluate(5.0, 0.1) == 0.0
+        assert GridCpSurface.constant(0.58).evaluate(5.0, 0.1, 0.2) == CP_CEILING
+        assert GridCpSurface.constant(0.02).evaluate(5.0, 0.1, -0.2) == 0.0
 
     def test_plus_minus_offsets_symmetric_about_nominal(self):
         surf = quad_grid()
-        up = surf.with_offset(0.04)
-        down = surf.with_offset(-0.04)
         rng = np.random.default_rng(2)
         for _ in range(50):
             lam = rng.uniform(2.5, 11.5)
             th = rng.uniform(0.0, math.radians(18.0))
             base = surf.evaluate(lam, th)
-            assert up.evaluate(lam, th) - base == pytest.approx(
-                base - down.evaluate(lam, th), abs=1e-14
+            assert surf.evaluate(lam, th, 0.04) - base == pytest.approx(
+                base - surf.evaluate(lam, th, -0.04), abs=1e-14
             )
+
+
+def d_lam(surf, lam, theta):
+    """dCp/dlambda from the surface's pitch lookup."""
+    return surf.at_pitch(theta).eval_with_dlam(lam, 0.0)[1]
 
 
 class TestGridPartials:
     def test_interior_partials_match_quadratic(self):
-        surf = quad_grid()
         # central differences reproduce the derivative of a quadratic exactly
-        d_lam, d_theta = surf.partials(7.5, math.radians(10.0))
-        assert d_lam == pytest.approx(-0.005 * 2 * 0.5, rel=1e-10)
-        assert d_theta == pytest.approx(-0.2, rel=1e-10)
+        assert d_lam(quad_grid(), 7.5, math.radians(10.0)) == pytest.approx(
+            -0.005 * 2 * 0.5, rel=1e-10
+        )
 
     def test_partials_zero_outside_bounds(self):
         surf = quad_grid()
-        assert surf.partials(13.0, 0.1)[0] == 0.0
-        assert surf.partials(5.0, -0.2)[1] == 0.0
-        # the in-bounds direction is still live
-        assert surf.partials(13.0, 0.1)[1] != 0.0
+        assert d_lam(surf, 13.0, 0.1) == 0.0
+        assert d_lam(surf, 1.0, 0.1) == 0.0
+        # a pitch outside its bounds is clamped; lambda's direction stays live
+        assert d_lam(surf, 5.0, -0.2) == d_lam(surf, 5.0, 0.0) != 0.0
 
     def test_partials_unaffected_by_value_clamp(self):
-        surf = quad_grid().with_offset(1.0)  # value clamps to the ceiling everywhere
-        assert surf.evaluate(7.5, 0.1) == CP_CEILING
-        d_lam, d_theta = surf.partials(7.5, math.radians(10.0))
-        assert d_lam == pytest.approx(-0.005, rel=1e-10)
-        assert d_theta == pytest.approx(-0.2, rel=1e-10)
-
-    def test_eval_with_partials_consistent(self):
-        surf = quad_grid()
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            lam = rng.uniform(1.0, 13.0)
-            th = rng.uniform(-0.1, 0.5)
-            val, dl, dt = surf.eval_with_partials(lam, th)
-            assert val == surf.evaluate(lam, th)
-            assert (dl, dt) == surf.partials(lam, th)
+        # an offset of 1 clamps the value to the ceiling everywhere
+        val, d = quad_grid().at_pitch(math.radians(10.0)).eval_with_dlam(7.5, 1.0)
+        assert val == CP_CEILING
+        assert d == pytest.approx(-0.005, rel=1e-10)
 
 
 class TestAnalyticSurface:
@@ -112,22 +101,14 @@ class TestAnalyticSurface:
         assert vals[best] == pytest.approx(0.48, abs=0.001)
 
     def test_partials_match_finite_differences(self, analytic_surface):
+        """dCp/dlambda against central differences of the raw base map."""
         rng = np.random.default_rng(4)
         h = 1e-6
         for _ in range(300):
             lam = rng.uniform(2.0, 14.0)
-            th = rng.uniform(0.0, math.radians(20.0))
-            fd_l = (
-                analytic_surface._base_value(lam + h, th)
-                - analytic_surface._base_value(lam - h, th)
-            ) / (2 * h)
-            fd_t = (
-                analytic_surface._base_value(lam, th + h)
-                - analytic_surface._base_value(lam, th - h)
-            ) / (2 * h)
-            _, dl, dt = analytic_surface._base_with_partials(lam, th)
-            assert dl == pytest.approx(fd_l, rel=1e-5, abs=1e-9)
-            assert dt == pytest.approx(fd_t, rel=1e-5, abs=1e-9)
+            at = analytic_surface.at_pitch(rng.uniform(0.0, math.radians(20.0)))
+            fd = (at._base_at(lam + h)[0] - at._base_at(lam - h)[0]) / (2 * h)
+            assert at._base_at(lam)[1] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_grid_sampling_tracks_analytic(self, analytic_surface, grid_surface):
         rng = np.random.default_rng(5)
@@ -231,13 +212,11 @@ class TestNonUniformGrid:
 
     def test_partials_match_gradient_at_nodes(self):
         surf, lam, theta, values = self.make()
-        d_lam = np.gradient(values, lam, axis=0)
-        d_theta = np.gradient(values, theta, axis=1)
+        want = np.gradient(values, lam, axis=0)
         for i in (0, 2, 4):
             for j in (0, 1, 3):
-                got = surf.partials(float(lam[i]), float(theta[j]))
-                assert got[0] == pytest.approx(d_lam[i, j], rel=1e-10)
-                assert got[1] == pytest.approx(d_theta[i, j], rel=1e-10)
+                got = d_lam(surf, float(lam[i]), float(theta[j]))
+                assert got == pytest.approx(want[i, j], rel=1e-10)
 
     def test_interpolation_linear_inside_cell(self):
         surf, lam, theta, _ = self.make()
@@ -256,17 +235,17 @@ SURFACES = {"analytic": AnalyticCpSurface(), "grid": default_grid_surface()}
     offset=st.floats(-0.7, 0.7),
 )
 def test_fused_lookup_obeys_the_clamp_rules(kind, lam, theta, offset):
-    """One fused lookup equals the separate calls exactly, inside and outside the bounds."""
-    surf = SURFACES[kind].with_offset(offset)
-    val, d_lam, d_theta = surf.eval_with_partials(lam, theta)
-    assert (val, d_lam, d_theta) == (surf.evaluate(lam, theta), *surf.partials(lam, theta))
+    """A pitch lookup keeps Cp in [0, CP_CEILING], gives dCp/dlambda = 0 outside
+    the lambda bounds, and takes dCp/dlambda before the value clamp."""
+    surf = SURFACES[kind]
+    val, d = surf.at_pitch(theta).eval_with_dlam(lam, offset)
+    assert hexes(val) == hexes(surf.evaluate(lam, theta, offset))
     assert 0.0 <= val <= CP_CEILING
     lam_lo, lam_hi = surf.lam_bounds
-    th_lo, th_hi = surf.theta_bounds
     if not lam_lo <= lam <= lam_hi:
-        assert d_lam == 0.0
-    if not th_lo <= theta <= th_hi:
-        assert d_theta == 0.0
+        assert d == 0.0
+    else:  # taken before the value clamp: every offset gives the same slope
+        assert d == surf.at_pitch(theta).eval_with_dlam(lam, 0.0)[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,25 +256,13 @@ def test_fused_lookup_obeys_the_clamp_rules(kind, lam, theta, offset):
     offsets=st.lists(st.floats(-0.7, 0.7), min_size=1, max_size=4),
 )
 def test_one_lookup_serves_every_offset(kind, lam, theta, offsets):
-    """A pitch-fixed lookup equals ``evaluate`` and ``eval_with_partials`` on the
-    surface with the offset it is given, bit for bit, across the clamps."""
-    surf = SURFACES[kind].with_offset(0.1)
+    """One pitch lookup gives, under each offset, ``evaluate`` with that offset
+    and the value of ``eval_with_dlam``, bit for bit, across the clamps."""
+    surf = SURFACES[kind]
     at = surf.at_pitch(theta)
-    shifted = [SURFACES[kind].with_offset(d) for d in offsets]
-    assert hexes(*at.evaluate_offsets(lam, offsets)) == hexes(
-        *(s.evaluate(lam, theta) for s in shifted)
-    )
-    for d, s in zip(offsets, shifted):
-        assert hexes(*at.eval_with_dlam(lam, d)) == hexes(*s.eval_with_partials(lam, theta)[:2])
-    assert all(surf.shares_base(s) for s in shifted)
-
-
-def test_shares_base_tells_surfaces_apart():
-    grid = default_grid_surface()
-    assert grid.shares_base(grid.with_offset(0.04))
-    assert not grid.shares_base(AnalyticCpSurface())
-    assert not grid.shares_base(quad_grid())
-    assert not AnalyticCpSurface().shares_base(AnalyticCpSurface(lam_bounds=(1.0, 20.0)))
+    want = [surf.evaluate(lam, theta, d) for d in offsets]
+    assert hexes(*at.evaluate_offsets(lam, offsets)) == hexes(*want)
+    assert hexes(*(at.eval_with_dlam(lam, d)[0] for d in offsets)) == hexes(*want)
 
 
 def plain_bilinear(lam_axis, theta_axis, grid, lam, theta):
@@ -353,27 +320,23 @@ def hexes(*values):
          offset=0.0)  # the top corner node
 def test_cell_table_equals_the_plain_bilinear_form(case, offset):
     """Every lookup of the cell table equals bilinear interpolation over the four
-    nodes, and of the nodal derivative grids, bit for bit, clamps included."""
+    nodes, and of the nodal dCp/dlambda grid, bit for bit, clamps included."""
     lam_axis, theta_axis, values, lam, theta = case
-    surf = GridCpSurface(lam_axis, theta_axis, values, offset=offset)
+    surf = GridCpSurface(lam_axis, theta_axis, values)
     lam_c = min(max(lam, lam_axis[0]), lam_axis[-1])
     theta_c = min(max(theta, theta_axis[0]), theta_axis[-1])
     val = plain_bilinear(lam_axis, theta_axis, values, lam_c, theta_c) + offset
     val = min(max(val, 0.0), CP_CEILING)
-    d_lam, d_theta = (
-        plain_bilinear(lam_axis, theta_axis, np.gradient(values, axis_, axis=k), lam_c, theta_c)
-        for k, axis_ in enumerate((lam_axis, theta_axis))
-    )
+    d_lam = plain_bilinear(lam_axis, theta_axis, np.gradient(values, lam_axis, axis=0),
+                           lam_c, theta_c)
     d_lam = d_lam if lam == lam_c else 0.0
-    d_theta = d_theta if theta == theta_c else 0.0
-    assert hexes(surf.evaluate(lam, theta)) == hexes(val)
-    assert hexes(*surf.eval_with_partials(lam, theta)) == hexes(val, d_lam, d_theta)
+    assert hexes(surf.evaluate(lam, theta, offset)) == hexes(val)
     at = surf.at_pitch(theta)
     assert hexes(*at.eval_with_dlam(lam, offset)) == hexes(val, d_lam)
     assert hexes(*at.evaluate_offsets(lam, [offset])) == hexes(val)
 
 
-def test_grid_arrays_are_read_only_and_copies_share_the_cell_table():
+def test_grid_arrays_are_read_only_and_the_builtin_grid_is_built_once():
     values = np.array([[0.1, 0.2], [0.3, 0.4]])
     surf = GridCpSurface([1.0, 2.0], [0.0, 0.1], values)
     values[0, 0] = 0.5  # the surface holds its own copy
@@ -381,7 +344,4 @@ def test_grid_arrays_are_read_only_and_copies_share_the_cell_table():
     for array in (surf.lam_axis, surf.theta_axis, surf.values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    shifted = surf.with_offset(0.05)
-    assert shifted._search is surf._search
-    assert shifted.evaluate(1.5, 0.05) == surf.evaluate(1.5, 0.05) + 0.05
     assert default_grid_surface() is default_grid_surface()

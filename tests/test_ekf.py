@@ -65,7 +65,7 @@ class TestUpdate:
         noise = NoiseModel(Q=np.zeros((2, 2)), R=[[1e12 * state.P[0, 0]]])
         out, rep = update(state, 1.5, None, model, noise)
         np.testing.assert_allclose(out.x, state.x, rtol=1e-6)
-        assert np.abs(rep.gain).max() < 1e-10
+        np.testing.assert_allclose(out.P, state.P, rtol=1e-10)
 
     def test_report_fields(self):
         model = LinearModel(np.eye(2), [[1.0, 0.0]])
@@ -74,8 +74,7 @@ class TestUpdate:
         out, rep = update(state, 1.2, None, model, noise)
         assert rep.residual[0] == pytest.approx(0.2)
         assert rep.innovation_cov[0, 0] == pytest.approx(1.0)  # 0.5 + 0.5
-        assert rep.gain[0, 0] == pytest.approx(0.5)
-        assert out.x[0] == pytest.approx(1.0 + 0.5 * 0.2)
+        assert out.x[0] == pytest.approx(1.0 + 0.5 * 0.2)  # gain 0.5 / 1.0
 
     def test_singular_innovation_raises_with_value(self):
         model = LinearModel(np.eye(1), [[1.0]])
@@ -202,7 +201,7 @@ class TestBatchedKernel:
         xp = np.array([model.f(xj, None) for model, xj in zip(models, x)])
         Pp = propagate(F, P, noise.Q)
         z = y - np.array([model.h(xj, None) for model, xj in zip(models, xp)])
-        xu, Pu, S, L = correct(xp, Pp, z, H, noise.R)
+        xu, Pu, S = correct(xp, Pp, z, H, noise.R)
         for j, model in enumerate(models):
             pred = predict(EstimatorState(x[j], P[j]), None, model, noise)
             post, rep = update(pred, y, None, model, noise)
@@ -210,7 +209,6 @@ class TestBatchedKernel:
             np.testing.assert_array_equal(xu[j], post.x)
             np.testing.assert_array_equal(Pu[j], post.P)
             np.testing.assert_array_equal(S[j], rep.innovation_cov)
-            np.testing.assert_array_equal(L[j], rep.gain)
 
     def test_batched_scalar_failure_names_the_bad_value(self):
         P = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])

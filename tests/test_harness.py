@@ -13,7 +13,6 @@ from immwind import (
     NoiseModel,
     NumericalError,
     TurbineModel,
-    cp_error_series,
     imm_step,
     low_pass,
     run_experiment,
@@ -81,6 +80,13 @@ class TestWindErrorSeries:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             wind_error_series(np.ones(3), np.ones(4))
+
+
+def cp_error_series(cp_hat, cp_true, dt):
+    """The Cp error series that ``run_experiment`` scores: percent error against
+    the low-passed true Cp, NaN where that reference is below its floor."""
+    ref = low_pass(cp_true, harness.CP_REFERENCE_CUTOFF_HZ, dt)
+    return harness._percent_error(cp_hat, ref, harness.CP_REFERENCE_FLOOR)
 
 
 class TestCpErrorSeries:
@@ -301,7 +307,6 @@ class TestRunExperiment:
             mu=np.array([1.0]),
             transition=np.array([[1.0]]),
             noise=noise,
-            offsets=(0.0,),
         )
         v_m1 = [x0[1]]
         for k in range(1, traj.t.size):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from immwind import (
+    AnalyticCpSurface,
     ControlInput,
     EstimatorState,
     GridCpSurface,
@@ -244,7 +245,6 @@ class TestImmStep:
             mu=np.array([1.0]),
             transition=np.array([[1.0]]),
             noise=noise,
-            offsets=(0.0,),
         )
         state = EstimatorState(x0, P0)
         u = ControlInput(0.0, 5e6)
@@ -267,7 +267,6 @@ class TestImmStep:
             mu=np.full(3, 1 / 3),
             transition=PAPER_PI,
             noise=noise,
-            offsets=(0.0, 0.0, 0.0),
         )
         state = EstimatorState(x0, P0)
         u = ControlInput(0.0, 5e6)
@@ -368,9 +367,9 @@ class TestEstimateCp:
             assert estimate_cp(bank, np.array(x), 0.05) == want
 
     def test_models_on_different_surfaces_look_up_each(self, params, grid_surface):
-        surfaces = (grid_surface, grid_surface.with_offset(0.04), GridCpSurface.constant(0.3))
+        surfaces = (grid_surface, grid_surface, GridCpSurface.constant(0.3))
         bank = ModeBank(
-            models=[TurbineModel(params, s) for s in surfaces],
+            models=[TurbineModel(params, s, d) for s, d in zip(surfaces, (0.0, 0.04, 0.0))],
             states=(EstimatorState([0.72, 8.0], np.eye(2)),) * 3,
             mu=[0.2, 0.5, 0.3], transition=PAPER_PI,
             noise=NoiseModel(Q=np.eye(2), R=[[1.0]]),
@@ -384,6 +383,31 @@ class TestEstimateCp:
     def test_models_without_surface_give_nan(self):
         bank = linear_bank()
         assert math.isnan(estimate_cp(bank, np.array([1.0, 8.0]), 0.0))
+
+    def test_bank_shares_one_lookup_only_across_one_surface(self, params, grid_surface):
+        """Modes share a pitch lookup when their params and surfaces are equal: an
+        analytic surface by value, a grid only as the same object."""
+        def shared(*models):
+            return ModeBank(
+                models=models, states=(EstimatorState([0.72, 8.0], np.eye(2)),) * len(models),
+                mu=np.full(len(models), 1 / len(models)),
+                transition=symmetric_transition(len(models), 0.9),
+                noise=NoiseModel(Q=np.eye(2), R=[[1.0]]),
+            )._cp_base
+
+        copy = GridCpSurface(grid_surface.lam_axis, grid_surface.theta_axis, grid_surface.values)
+        model, offsets = shared(TurbineModel(params, grid_surface),
+                                TurbineModel(params, grid_surface, 0.04))
+        assert model.cp is grid_surface and offsets == (0.0, 0.04)
+        assert shared(TurbineModel(params, AnalyticCpSurface()),
+                      TurbineModel(params, AnalyticCpSurface(), -0.04))[1] == (0.0, -0.04)
+        assert shared(TurbineModel(params, grid_surface), TurbineModel(params, copy)) is None
+        assert shared(TurbineModel(params, grid_surface),
+                      TurbineModel(params, AnalyticCpSurface())) is None
+        assert shared(TurbineModel(params, AnalyticCpSurface()),
+                      TurbineModel(params, AnalyticCpSurface(lam_bounds=(1.0, 20.0)))) is None
+        assert shared(TurbineModel(params, grid_surface),
+                      TurbineModel(dataclasses.replace(params, radius=80.0), grid_surface)) is None
 
 
 class TestBankValidation:
@@ -420,11 +444,12 @@ class TestBankValidation:
             np.array([0.72, 8.0]), np.diag([0.01, 4.0]),
             PAPER_PI, np.full(3, 1 / 3),
         )
-        assert bank.offsets == (0.0, 0.05, -0.05)
-        lam = 5.0
-        base = grid_surface.evaluate(lam, 0.0)
-        assert bank.models[1].cp.evaluate(lam, 0.0) == pytest.approx(base + 0.05, rel=1e-12)
-        assert bank.models[2].cp.evaluate(lam, 0.0) == pytest.approx(base - 0.05, rel=1e-12)
+        assert [m.offset for m in bank.models] == [0.0, 0.05, -0.05]
+        assert all(m.cp is grid_surface for m in bank.models)
+        x = np.array([5.0 * 8.0 / params.radius, 8.0])  # lambda = 5
+        base = grid_surface.evaluate(5.0, 0.0)
+        assert bank.models[1].cp_at(x, 0.0) == pytest.approx(base + 0.05, rel=1e-12)
+        assert bank.models[2].cp_at(x, 0.0) == pytest.approx(base - 0.05, rel=1e-12)
 
 
 class TestBankValue:

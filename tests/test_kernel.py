@@ -135,7 +135,6 @@ class TestTurbineFilter:
             S = P[0, 0] + noise.R[0, 0]
             L = P[:, :1] / S
             close(report.innovation_cov, [[S]])
-            close(report.gain, L)
             close(state.x, x + L[:, 0] * (y - x[0]))
             P = (np.eye(2) - L @ [[1.0, 0.0]]) @ P
             close(state.P, 0.5 * (P + P.T))
@@ -149,7 +148,7 @@ class TestFailureNamesTheMode:
             symmetric_transition(3, 0.99), np.full(3, 1 / 3),
         )
         return ModeBank(models=bank.models, x=bank.x, P=P, mu=bank.mu,
-                        transition=bank.transition, noise=noise, offsets=bank.offsets)
+                        transition=bank.transition, noise=noise)
 
     def test_innovation_covariance_not_positive(self, params, grid_surface):
         P = np.stack([np.diag([0.01, 4.0])] * 3)
@@ -197,7 +196,7 @@ def turbine_bank(params, grid_surface):
 def read_every_array(*records):
     """Read each array field of the records, as a caller inspecting them would."""
     for record in records:
-        for name in ("x", "P", "mu", "residual", "innovation_cov", "gain"):
+        for name in ("x", "P", "mu", "residual", "innovation_cov"):
             getattr(record, name, None)
         if isinstance(record, ModeBank):
             record.states
@@ -218,10 +217,9 @@ class TestFloatBackedRecords:
         state, report = update(state, 0.7201, ControlInput(0.0, 5e6), bank.models[0], bank.noise)
         x0, x1, P = state._floats
         assert state.x.tolist() == [x0, x1] and state.P.ravel().tolist() == list(P)
-        z, S, l0, l1 = report._floats
+        z, S = report._floats
         assert report.residual.tolist() == [z] and report.innovation_cov.tolist() == [[S]]
-        assert report.gain.tolist() == [[l0], [l1]]
-        for array in (bank.x, bank.P, bank.mu, out.x, out.P, out.mu, state.x, report.gain):
+        for array in (bank.x, bank.P, bank.mu, out.x, out.P, out.mu, state.x, report.residual):
             assert not array.flags.writeable
 
     def test_reading_the_arrays_changes_no_later_cycle(self, params, grid_surface):
@@ -255,7 +253,7 @@ class TestFloatBackedRecords:
         assert "_floats" not in vars(copy)
         for name in ("x", "P", "mu", "transition"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(bank, name))
-        assert copy.offsets == bank.offsets and copy.underflow_count == bank.underflow_count
+        assert copy.models == bank.models and copy.underflow_count == bank.underflow_count
         u = ControlInput(0.0, 5e6)
         (next_a, out_a), (next_b, out_b) = imm_step(bank, 0.72, u), imm_step(copy, 0.72, u)
         assert repr(next_a._floats) == repr(next_b._floats)
@@ -302,11 +300,10 @@ def turbine_case(draw):
 
 def bank_of(surface, params, case):
     _, delta, x, P, mu, q, r, _, _ = case
-    offsets = (0.0, delta, -delta)
     return ModeBank(
-        models=[TurbineModel(params, surface.with_offset(d)) for d in offsets],
+        models=[TurbineModel(params, surface, d) for d in (0.0, delta, -delta)],
         x=x, P=P, mu=mu, transition=symmetric_transition(3, 0.99),
-        noise=NoiseModel(Q=np.diag([q[0] ** 2, q[1] ** 2]), R=[[r]]), offsets=offsets,
+        noise=NoiseModel(Q=np.diag([q[0] ** 2, q[1] ** 2]), R=[[r]]),
     )
 
 
@@ -337,8 +334,8 @@ def ekf_cycle_general(model, noise, x, P, y, u):
     pred = (f0, f1, P)
     h, h0, h1 = ekf.measurement2(model, f0, f1, u)
     z = y - h
-    x0, x1, P, S, l0, l1 = ekf.correct2(f0, f1, P, z, h0, h1, noise.R.item())
-    return pred, (x0, x1, P), (z, S, l0, l1)
+    x0, x1, P, S = ekf.correct2(f0, f1, P, z, h0, h1, noise.R.item())
+    return pred, (x0, x1, P), (z, S)
 
 
 class TestTurbineStructure:
@@ -379,9 +376,9 @@ class TestTurbineStructure:
         P = np.stack([np.diag([0.01, 4.0])] * 3)
         P[1] = [[1.0, 1e10], [1e10, 1e300]]
         bank = ModeBank(
-            models=[TurbineModel(params, grid_surface.with_offset(d)) for d in (0.0, 0.04, -0.04)],
+            models=[TurbineModel(params, grid_surface, d) for d in (0.0, 0.04, -0.04)],
             x=[[0.72, 8.0]] * 3, P=P, mu=np.full(3, 1 / 3), transition=symmetric_transition(3, 0.99),
-            noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]), offsets=(0.0, 0.04, -0.04),
+            noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),
         )
         assert bank._cp_base is not None
         with pytest.raises(NumericalError, match=r"^mode 1 \(Cp offset \+0\.04\): state or "
@@ -393,9 +390,9 @@ class TestTurbineStructure:
         self, params, grid_surface, analytic_surface
     ):
         """Modes on different base maps take the general float kernel."""
-        surfaces = (grid_surface, analytic_surface, grid_surface.with_offset(0.04))
+        surfaces = (grid_surface, analytic_surface, grid_surface)
         fast = slow = ModeBank(
-            models=[TurbineModel(params, s) for s in surfaces],
+            models=[TurbineModel(params, s, d) for s, d in zip(surfaces, (0.0, 0.0, 0.04))],
             states=[EstimatorState(np.array([0.72, 8.0]), np.diag([0.01, 4.0]))] * 3,
             mu=np.full(3, 1 / 3), transition=symmetric_transition(3, 0.99),
             noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),

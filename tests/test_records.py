@@ -42,7 +42,7 @@ def records():
     return {
         "EstimatorState": EstimatorState(np.array([1.0, 2.0]), np.eye(2)),
         "NoiseModel": noise,
-        "UpdateReport": UpdateReport(np.zeros(1), np.eye(1), np.zeros((2, 1))),
+        "UpdateReport": UpdateReport(np.zeros(1), np.eye(1)),
         "ModeBank": bank,
         "ImmOutput": out,
         "GridCpSurface": surface,

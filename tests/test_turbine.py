@@ -14,26 +14,9 @@ from immwind import (
     TurbineParameters,
     aero_torque,
     jacobian_f,
-    measure,
     step_dynamics,
-    tip_speed_ratio,
 )
 from immwind.turbine import MEASUREMENT_JACOBIAN, OMEGA_FLOOR, V_FLOOR
-
-
-class TestTipSpeedRatio:
-    def test_direct_substitution(self):
-        assert tip_speed_ratio(1.0, 10.0, 10.0) == 1.0
-
-    def test_doubling_wind_halves_lambda(self):
-        assert tip_speed_ratio(1.0, 20.0, 10.0) == 0.5
-
-    def test_zero_rotor_speed(self):
-        assert tip_speed_ratio(0.0, 10.0, 10.0) == 0.0
-
-    def test_wind_below_floor_names_input(self):
-        with pytest.raises(DomainError, match="wind speed"):
-            tip_speed_ratio(1.0, 0.1, 10.0)
 
 
 class TestAeroTorque:
@@ -63,7 +46,7 @@ class TestAeroTorque:
     def test_extra_offset_shifts_surface(self, params):
         surf = GridCpSurface.constant(0.30)
         base = aero_torque(1.0, 8.0, 0.0, params, surf)
-        shifted = aero_torque(1.0, 8.0, 0.0, params, surf, extra_cp_offset=0.10)
+        shifted = aero_torque(1.0, 8.0, 0.0, params, surf, offset=0.10)
         assert shifted / base == pytest.approx(0.40 / 0.30, rel=1e-12)
 
 
@@ -137,10 +120,6 @@ class TestJacobian:
 
 
 class TestMeasurement:
-    def test_projection(self):
-        assert measure(StateVector(0.9, 8.0)) == 0.9
-        assert measure(StateVector(0.0, 15.0)) == 0.0
-
     def test_jacobian_is_constant_row(self):
         np.testing.assert_array_equal(MEASUREMENT_JACOBIAN, [[1.0, 0.0]])
 
@@ -189,6 +168,14 @@ class TestTurbineModel:
             lam = floored.omega * params.radius / floored.v
             assert model.cp_at(x, u.pitch) == surf.evaluate(lam, u.pitch)
 
+    def test_offset_is_added_to_the_surface(self, params, grid_surface):
+        x, u = np.array([0.9, 8.0]), ControlInput(math.radians(3.0), 2e6)
+        model = TurbineModel(params, grid_surface, 0.04)
+        lam = 0.9 * params.radius / 8.0
+        assert model.cp_at(x, u.pitch) == grid_surface.evaluate(lam, u.pitch, 0.04)
+        tau_a = aero_torque(0.9, 8.0, u.pitch, params, grid_surface, 0.04)
+        assert model.f(x, u)[0] == 0.9 + params.dt / params.inertia * (tau_a - u.torque)
+
 
 class TestFusedStep:
     @settings(max_examples=300, deadline=None)
@@ -207,19 +194,18 @@ class TestFusedStep:
         self, params, analytic_surface, grid_surface, omega, v, pitch, torque, offset, kind
     ):
         surface = {"analytic": analytic_surface, "grid": grid_surface}[kind]
-        model = TurbineModel(params, surface.with_offset(offset))
+        model = TurbineModel(params, surface, offset)
         x = np.array([omega, v])
         u = ControlInput(pitch, torque)
         F = model.jac_f(x, u)
         want = (*model.f(x, u).tolist(), *F[0].tolist())
-        # the pitch lookup of the unshifted surface serves the shifted model
         got = model.f_and_jac(omega, v, torque, surface.at_pitch(pitch))
         assert [g.hex() for g in got] == [w.hex() for w in want]
         assert F[1].tolist() == [0.0, 1.0]
 
     def test_cp_at_offsets_equals_cp_at(self, params, grid_surface):
         x = np.array([0.001, 40.0])  # omega below its floor, lambda below the grid
-        models = [TurbineModel(params, grid_surface.with_offset(d)) for d in (0.0, 0.3, -0.4)]
+        models = [TurbineModel(params, grid_surface, d) for d in (0.0, 0.3, -0.4)]
         at = grid_surface.at_pitch(0.1)
-        got = models[0].cp_at_offsets(0.001, 40.0, at, [m.cp.offset for m in models])
+        got = models[0].cp_at_offsets(0.001, 40.0, at, [m.offset for m in models])
         assert got == [m.cp_at(x, 0.1) for m in models]
