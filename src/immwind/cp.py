@@ -211,8 +211,13 @@ class GridCpSurface(CpSurface):
             raise ValueError("grid axes must be 1-D with at least two points")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(theta))):
             raise ValueError("grid axes must be finite")
-        if not (np.all(np.diff(lam) > 0) and np.all(np.diff(theta) > 0)):
-            raise ValueError("grid axes must be strictly increasing")
+        for name, axis in (("lam_axis", lam), ("theta_axis", theta)):
+            with np.errstate(over="ignore"):  # a span past the largest double
+                spacing = np.diff(axis)
+            if not np.all(spacing > 0):
+                raise ValueError("grid axes must be strictly increasing")
+            if not np.all(np.isfinite(spacing)):
+                raise ValueError(f"grid axis {name} spacing must be finite")
         if vals.shape != (lam.size, theta.size):
             raise ValueError(
                 f"value matrix shape {vals.shape} does not match axes "
@@ -220,15 +225,21 @@ class GridCpSurface(CpSurface):
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
+        with np.errstate(all="ignore"):  # spacings near a double's limits; checked below
+            d_lam = np.gradient(vals, lam, axis=0)
+        if not np.all(np.isfinite(d_lam)):
+            raise ValueError(
+                "grid dCp/dlambda must be finite: lam_axis spacing is too fine for the values"
+            )
         for name, array in (("lam_axis", lam), ("theta_axis", theta), ("values", vals)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         lam_list, theta_list = lam.tolist(), theta.tolist()
         object.__setattr__(self, "lam_bounds", (lam_list[0], lam_list[-1]))
         object.__setattr__(self, "theta_bounds", (theta_list[0], theta_list[-1]))
-        grids = (vals, np.gradient(vals, lam, axis=0))
         object.__setattr__(self, "_search", (
-            lam_list, lam.size - 1, theta_list, theta.size - 1, _cell_table(lam, theta, grids)
+            lam_list, lam.size - 1, theta_list, theta.size - 1,
+            _cell_table(lam, theta, (vals, d_lam)),
         ))
 
     def at_pitch(self, theta: float) -> CpAtPitch:

@@ -191,7 +191,12 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
         config.transition(), np.asarray(config.mu0),
     )
     nominal = TurbineModel(params, cp0)
-    kf_state = ekf.EstimatorState(x0, P0)
+    # the nominal KF runs on the float steps that ekf.predict and ekf.update take
+    # for a turbine model, its state held as (x0, x1, P) floats across the loop
+    kf_x0, kf_x1 = x0.tolist()
+    kf_P = P0.ravel().tolist()
+    q, r = noise.q_entries, noise.R.item()
+    kf_offset = (nominal.offset,)
 
     # the loop reads the input series as floats through memoryviews and appends
     # the estimates to float arrays: either holds 8 bytes a value, as an
@@ -200,26 +205,28 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
     v_imm = array("d", [x0[1]])
     cp_imm = array("d", [imm.estimate_cp(bank, x0, pitch[0])])
     mu = array("d", bank.mu.tolist())  # row-major (n, modes)
-    v_kf = array("d", [x0[1]])
+    v_kf = array("d", [kf_x1])
     cp_kf = array("d", [nominal.cp_at(x0, pitch[0])])
 
     try:
         for k in range(1, n):
-            u_prev = ControlInput(pitch[k - 1], torque[k - 1])
+            pitch_prev, torque_prev = pitch[k - 1], torque[k - 1]
             y_k = y_meas[k]
             estimator = "imm"
-            bank, out = imm.imm_step(bank, y_k, u_prev)
+            bank, out = imm.imm_step(bank, y_k, ControlInput(pitch_prev, torque_prev))
             estimator = "kf"
-            pred = ekf.predict(kf_state, u_prev, nominal, noise)
-            kf_state, _ = ekf.update(pred, y_k, u_prev, nominal, noise)
+            # one lookup at the step's pitch, for the KF's step and its Cp estimate
+            cp_at = cp0.at_pitch(pitch_prev)
+            f0, f1, f00, f01 = nominal.f_and_jac(kf_x0, kf_x1, torque_prev, cp_at)
+            kf_P = ekf.propagate_walk(kf_P, f00, f01, q)
+            kf_x0, kf_x1, kf_P, _ = ekf.correct_first(f0, f1, kf_P, y_k - f0, r)
             # the paper's filter shape runs on the float kernel: read its floats
             _, v, _, post = out._floats
             v_imm.append(v)
             mu.extend(post)
             cp_imm.append(out.cp_estimate)
-            x_kf = kf_state._floats[:2]
-            v_kf.append(x_kf[1])
-            cp_kf.append(nominal.cp_at(x_kf, u_prev.pitch))
+            v_kf.append(kf_x1)
+            cp_kf.append(nominal.cp_at_offsets(kf_x0, kf_x1, cp_at, kf_offset)[0])
     except NumericalError as exc:
         raise NumericalError(f"{estimator} step {k}, t={k * config.dt:.2f} s: {exc}") from exc
     # the ndarrays share the float arrays' buffers, with no copy

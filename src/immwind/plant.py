@@ -321,8 +321,11 @@ def simulate_plant(
 
     omega_k = omega0
     omega_cap = 1.5 * params.omega_rated
-    rews = wind.rews
-    deltas = schedule.offsets
+    # the loop reads the noise, the REWS and the offsets as Python floats through
+    # memoryviews, so the controller and the step do float arithmetic, not numpy
+    # scalar arithmetic; a list of the values would hold 32 bytes a float, not 8
+    noise, rews = memoryview(noise), memoryview(wind.rews)
+    deltas = memoryview(np.ascontiguousarray(schedule.offsets, dtype=float))
     for k in range(n):
         y_k = omega_k + noise[k]
         u = controller.step(y_k)
@@ -331,7 +334,7 @@ def simulate_plant(
         tau_g[k] = u.torque
         y_meas[k] = y_k
         omega_k, cp_true[k] = _step_core(
-            omega_k, float(rews[k]), u.pitch, u.torque, params, cp_nominal, float(deltas[k])
+            omega_k, rews[k], u.pitch, u.torque, params, cp_nominal, deltas[k]
         )
         if not 0.0 <= omega_k <= omega_cap:
             raise NumericalError(

@@ -241,8 +241,8 @@ class TurbineModel:
 
     def cp_at(self, x: np.ndarray, pitch: float) -> float:
         """This model's Cp at the filter state ``x``."""
-        omega, v = _floored(x)
-        return self.cp.evaluate(omega * self.params.radius / v, pitch, self.offset)
+        cp_at = self.cp.at_pitch(pitch)
+        return self.cp_at_offsets(float(x[0]), float(x[1]), cp_at, (self.offset,))[0]
 
     def cp_at_offsets(self, x0: float, x1: float, cp_at: CpAtPitch, offsets) -> list[float]:
         """``cp_at`` at the state (x0, x1) under each offset in ``offsets`` in

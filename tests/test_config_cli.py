@@ -191,6 +191,10 @@ class TestCpTableErrors:
     def test_non_finite_axis(self, tmp_path, text):
         assert self.load(tmp_path, text) == "grid axes must be finite"
 
+    def test_axis_spacing_past_a_double(self, tmp_path):
+        text = ",0,5\n-1e308,0.4,0.4\n1e308,0.4,0.4\n"
+        assert self.load(tmp_path, text) == "grid axis lam_axis spacing must be finite"
+
     def test_nan_cell(self, tmp_path):
         assert self.load(tmp_path, ",0,5\n1,0.4,nan\n2,0.4,0.4\n") == "grid values must be finite"
 

@@ -156,6 +156,25 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="finite"):
             GridCpSurface(np.array([1.0, 2.0]), np.array([0.0, 0.1]), vals)
 
+    @pytest.mark.parametrize("name", ["lam_axis", "theta_axis"])
+    def test_axis_spacing_must_be_finite(self, name):
+        """Finite nodes whose spacing overflows a double are rejected, naming the
+        axis, with no overflow warning (which the test configuration makes an error)."""
+        axes = {"lam_axis": [0.0, 0.1], "theta_axis": [0.0, 0.1], name: [-1e308, 1e308]}
+        with pytest.raises(ValueError, match=f"^grid axis {name} spacing must be finite$"):
+            GridCpSurface(values=[[0.1, 0.2], [0.3, 0.4]], **axes)
+
+    def test_spacing_too_fine_for_the_values_is_rejected(self):
+        with pytest.raises(ValueError, match="dCp/dlambda must be finite"):
+            GridCpSurface([0.0, 1e-320, 2e-320], [0.0, 0.1], [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+
+    def test_span_near_the_largest_double_interpolates(self):
+        """Three nodes spanning 2e308 have finite spacing; the surface builds without
+        a warning and interpolates bilinearly."""
+        grid = GridCpSurface([-1e308, 0.0, 1e308], [0.0, 0.1], [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        assert grid.evaluate(0.0, 0.05) == pytest.approx(0.35, rel=1e-15)
+        assert grid.evaluate(5e307, 0.05) == pytest.approx(0.45, rel=1e-15)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):

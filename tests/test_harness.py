@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -256,16 +257,30 @@ class TestRunExperiment:
         assert [run.seed for run in res.runs] == [2]
 
     def test_failure_names_the_estimator(self, monkeypatch):
-        real = ekf.update
-        calls = []
+        """A failure in the nominal KF's third correction names the KF and its step.
 
-        def failing_at_step_3(state, y, u, model, noise):
-            calls.append(y)
-            if len(calls) == 3:
-                raise NumericalError("synthetic failure")
-            return real(state, y, u, model, noise)
+        The KF's corrections are the ``ekf.correct_first`` calls made outside
+        ``imm_step``; those inside it are the bank's."""
+        real_step, real_correct = imm.imm_step, ekf.correct_first
+        in_bank = [False]
+        kf_calls = []
 
-        monkeypatch.setattr(ekf, "update", failing_at_step_3)
+        def marking_the_bank(bank, y, u):
+            in_bank[0] = True
+            try:
+                return real_step(bank, y, u)
+            finally:
+                in_bank[0] = False
+
+        def failing_at_kf_step_3(*args):
+            if not in_bank[0]:
+                kf_calls.append(args)
+                if len(kf_calls) == 3:
+                    raise NumericalError("synthetic failure")
+            return real_correct(*args)
+
+        monkeypatch.setattr(imm, "imm_step", marking_the_bank)
+        monkeypatch.setattr(ekf, "correct_first", failing_at_kf_step_3)
         res = run_experiment(tiny_config(seeds=(1, 2), duration_s=20.0, settle_s=5.0))
         assert res.failed == ((1, "kf step 3, t=0.15 s: synthetic failure"),)
 
@@ -314,6 +329,64 @@ class TestRunExperiment:
             bank, out = imm_step(bank, float(traj.y_meas[k]), u_prev)
             v_m1.append(out.x[1])
         np.testing.assert_allclose(np.array(v_m1), run.v_kf, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("scenario", ["below", "above"])
+    def test_nominal_kf_equals_a_replay_through_predict_and_update(self, scenario):
+        """The harness's float KF equals, bit for bit, the public value-style steps."""
+        cfg = tiny_config(scenario=scenario, duration_s=20.0, settle_s=5.0)
+        run = run_experiment(cfg).runs[0]
+        traj = run.trajectory
+        params = cfg.turbine_params()
+        model = TurbineModel(params, cfg.surface())
+        noise = NoiseModel(
+            Q=np.diag([cfg.q_omega_std**2, params.sigma_n**2]),
+            R=np.array([[cfg.r_std**2]]),
+        )
+        state = EstimatorState(
+            np.array([traj.y_meas[0], cfg.preset(1).mean_wind]),
+            np.diag([cfg.p0_omega_std**2, cfg.p0_wind_std**2]),
+        )
+        v_kf = [state.x[1]]
+        cp_kf = [model.cp_at(state.x, float(traj.pitch[0]))]
+        for k in range(1, traj.t.size):
+            u = ControlInput(float(traj.pitch[k - 1]), float(traj.tau_g[k - 1]))
+            predicted = ekf.predict(state, u, model, noise)
+            state, _ = ekf.update(predicted, float(traj.y_meas[k]), u, model, noise)
+            v_kf.append(state.x[1])
+            cp_kf.append(model.cp_at(state.x, u.pitch))
+        assert np.array(v_kf).tobytes() == run.v_kf.tobytes()
+        assert np.array(cp_kf).tobytes() == run.cp_kf.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["below", "above"])
+    def test_a_step_makes_three_pitch_lookups_and_no_filter_records(self, scenario, monkeypatch):
+        """Per step: one Cp lookup for the plant, one for the bank and one shared by
+        the nominal KF's step and its Cp estimate; the KF builds no records."""
+        counts = Counter()
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(cp.CpAtPitch, "__init__", counting("at_pitch", cp.CpAtPitch.__init__))
+        for record in (ekf.EstimatorState, ekf.UpdateReport):
+            monkeypatch.setattr(record, "__init__", counting("record", record.__init__))
+            monkeypatch.setattr(
+                record, "_of_floats", classmethod(counting("record", record._of_floats.__func__))
+            )
+
+        def counts_of(duration_s):
+            counts.clear()
+            cfg = tiny_config(scenario=scenario, duration_s=duration_s, settle_s=0.5)
+            harness._run_estimators(cfg, 1)
+            return counts.copy(), cfg.dt
+
+        counts_of(1.0)  # leaves the per-process set-up built
+        (short, dt), (long, _) = counts_of(1.0), counts_of(3.0)
+        steps = round(2.0 / dt)
+        assert long["at_pitch"] - short["at_pitch"] == 3 * steps
+        assert long["record"] == short["record"]
 
     def test_regime_mode_probabilities_favor_active_mode(self):
         cfg = ExperimentConfig(duration_s=600.0, seeds=(1,))
