@@ -225,12 +225,14 @@ class GridCpSurface(CpSurface):
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
+        _check_node_differences("values", vals)
         with np.errstate(all="ignore"):  # spacings near a double's limits; checked below
             d_lam = np.gradient(vals, lam, axis=0)
         if not np.all(np.isfinite(d_lam)):
             raise ValueError(
                 "grid dCp/dlambda must be finite: lam_axis spacing is too fine for the values"
             )
+        _check_node_differences("dCp/dlambda", d_lam)
         for name, array in (("lam_axis", lam), ("theta_axis", theta), ("values", vals)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -291,6 +293,21 @@ class GridCpSurface(CpSurface):
             writer.writerows(
                 [lam] + row
                 for lam, row in zip(self.lam_axis.tolist(), self.values.tolist())
+            )
+
+
+def _check_node_differences(name: str, grid: np.ndarray) -> None:
+    """Raise ValueError, naming the values, where neighbouring nodes of ``grid``
+    differ by more than a double holds: a lookup interpolates across them."""
+    for axis in (0, 1):
+        with np.errstate(over="ignore"):  # the overflow is what is checked
+            bad = np.argwhere(~np.isfinite(np.diff(grid, axis=axis))).tolist()
+        if bad:
+            i, j = bad[0]
+            a, b = grid[i, j].item(), grid[i + 1 - axis, j + axis].item()
+            raise ValueError(
+                f"grid {name} {a!r} and {b!r} at neighbouring nodes differ by more than "
+                f"a double holds"
             )
 
 

@@ -12,10 +12,11 @@ overhead would outweigh the 2x2 arithmetic: a turbine filter on steps
 written out for the turbine's structure (``propagate_walk`` for
 F = [[f00, f01], [0, 1]], ``correct_first`` for H = (1, 0)), any other
 model on general 2x2 algebra (``transition2``, ``measurement2``,
-``propagate2``, ``correct2``).  Every other shape runs on the batched
-numpy kernel (``propagate``, ``correct``).  The records the float
-kernel returns hold its floats and build their ndarray fields only
-when those are read (``float_backed``).
+``propagate2``, ``correct2``); ``turbine_cycle`` is the turbine filter's
+whole cycle.  Every other shape runs on the batched numpy kernel
+(``propagate``, ``correct``).  The records the float kernel returns
+hold its floats and build their ndarray fields only when those are
+read (``float_backed``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .turbine import TurbineModel
+from .turbine import OMEGA_FLOOR, V_FLOOR, TurbineModel, drivetrain_step
 
 
 class _FromFloats:
@@ -292,6 +293,23 @@ def correct_first(x0: float, x1: float, P, z: float, r: float):
             f"x=({x0}, {x1}), P=({u00}, {off}, {u11})"
         )
     return x0, x1, (u00, off, off, u11), S
+
+
+def turbine_cycle(
+    model: TurbineModel, x0: float, x1: float, P, y: float, torque: float, cp_at, Q, r: float
+):
+    """``predict`` then ``update`` of a turbine filter, ``cp_at`` = ``cp.at_pitch(pitch)``
+    and Q a row-major 4-tuple: the corrected (x0, x1, P), the residual z and its S.
+
+    The state is raised to the floors as ``TurbineModel.f_and_jac`` raises it,
+    written out here to save that call in every filter's step."""
+    f1 = V_FLOOR if V_FLOOR > x1 else x1
+    f0, _, _, f00, f01 = drivetrain_step(
+        model.params, OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0, f1, torque, cp_at, model.offset
+    )
+    z = y - f0
+    x0, x1, P, S = correct_first(f0, f1, propagate_walk(P, f00, f01, Q), z, r)
+    return x0, x1, P, z, S
 
 
 def scalar_measurement(y) -> float:

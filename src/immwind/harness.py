@@ -191,8 +191,8 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
         config.transition(), np.asarray(config.mu0),
     )
     nominal = TurbineModel(params, cp0)
-    # the nominal KF runs on the float steps that ekf.predict and ekf.update take
-    # for a turbine model, its state held as (x0, x1, P) floats across the loop
+    # the nominal KF runs on ekf.turbine_cycle, the float steps that ekf.predict and
+    # ekf.update take for a turbine model, its state held as (x0, x1, P) floats
     kf_x0, kf_x1 = x0.tolist()
     kf_P = P0.ravel().tolist()
     q, r = noise.q_entries, noise.R.item()
@@ -217,9 +217,9 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
             estimator = "kf"
             # one lookup at the step's pitch, for the KF's step and its Cp estimate
             cp_at = cp0.at_pitch(pitch_prev)
-            f0, f1, f00, f01 = nominal.f_and_jac(kf_x0, kf_x1, torque_prev, cp_at)
-            kf_P = ekf.propagate_walk(kf_P, f00, f01, q)
-            kf_x0, kf_x1, kf_P, _ = ekf.correct_first(f0, f1, kf_P, y_k - f0, r)
+            kf_x0, kf_x1, kf_P, _, _ = ekf.turbine_cycle(
+                nominal, kf_x0, kf_x1, kf_P, y_k, torque_prev, cp_at, q, r
+            )
             # the paper's filter shape runs on the float kernel: read its floats
             _, v, _, post = out._floats
             v_imm.append(v)

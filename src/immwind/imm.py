@@ -324,10 +324,7 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
     for j, (model, (x0, x1, P)) in enumerate(zip(bank.models, filters)):
         try:
             if shared is not None:  # F = [[f00, f01], [0, 1]] and H = (1, 0)
-                f0, f1, f00, f01 = model.f_and_jac(x0, x1, torque, cp_at)
-                z = y - f0
-                P = ekf.propagate_walk(P, f00, f01, Q)
-                x0, x1, P, S = ekf.correct_first(f0, f1, P, z, r)
+                x0, x1, P, z, S = ekf.turbine_cycle(model, x0, x1, P, y, torque, cp_at, Q, r)
             else:
                 f0, f1, *F = ekf.transition2(model, x0, x1, u)
                 P = ekf.propagate2(P, F, Q)

@@ -22,11 +22,12 @@ import numpy as np
 from .cp import CpSurface
 from .errors import NumericalError
 from .turbine import (
+    OMEGA_FLOOR,
     V_FLOOR,
     ControlInput,
     TurbineParameters,
-    _step_core,
     aero_torque,
+    drivetrain_step,
 )
 
 SHARED_CORNER_HZ = 0.05  # large-scale component seen by the whole rotor
@@ -291,8 +292,8 @@ def simulate_plant(
 
     The rotor is driven by the REWS; the measurement is the rotor speed
     plus seeded Gaussian noise; the controller acts on the measurement.
-    Aborts with a diagnostic if the rotor speed escapes
-    [0, 1.5 * omega_rated], which signals misconfiguration.
+    Aborts with a NumericalError naming the time if the state falls below
+    the floors or the rotor speed escapes [0, 1.5 * omega_rated].
     """
     wind = generate_wind(preset)
     n = wind.rews.size
@@ -304,11 +305,7 @@ def simulate_plant(
     meas_rng = np.random.default_rng(np.random.SeedSequence([preset.seed, 1]))
     noise = meas_rng.normal(0.0, meas_noise_std, size=n)
 
-    omega = np.empty(n)
-    pitch = np.empty(n)
-    tau_g = np.empty(n)
-    cp_true = np.empty(n)
-    y_meas = np.empty(n)
+    omega, pitch, tau_g, cp_true, y_meas = (np.empty(n) for _ in range(5))
 
     # start at the region-appropriate equilibrium for the mean wind
     omega0 = controller.lam_star * preset.mean_wind / params.radius
@@ -321,20 +318,26 @@ def simulate_plant(
 
     omega_k = omega0
     omega_cap = 1.5 * params.omega_rated
-    # the loop reads the noise, the REWS and the offsets as Python floats through
-    # memoryviews, so the controller and the step do float arithmetic, not numpy
-    # scalar arithmetic; a list of the values would hold 32 bytes a float, not 8
+    # the loop reads its inputs and writes its five series through memoryviews: float
+    # arithmetic, not numpy scalar arithmetic, at 8 bytes a value where a list holds 32
     noise, rews = memoryview(noise), memoryview(wind.rews)
     deltas = memoryview(np.ascontiguousarray(schedule.offsets, dtype=float))
+    omega_w, pitch_w, tau_g_w, cp_w, y_w = map(memoryview, (omega, pitch, tau_g, cp_true, y_meas))
     for k in range(n):
         y_k = omega_k + noise[k]
         u = controller.step(y_k)
-        omega[k] = omega_k
-        pitch[k] = u.pitch
-        tau_g[k] = u.torque
-        y_meas[k] = y_k
-        omega_k, cp_true[k] = _step_core(
-            omega_k, rews[k], u.pitch, u.torque, params, cp_nominal, deltas[k]
+        omega_w[k] = omega_k
+        pitch_w[k] = u.pitch
+        tau_g_w[k] = u.torque
+        y_w[k] = y_k
+        v_k = rews[k]
+        if omega_k < OMEGA_FLOOR or v_k < V_FLOOR:
+            raise NumericalError(
+                f"state (rotor speed {omega_k:.4g} rad/s, wind speed {v_k:.4g} m/s) is below the "
+                f"floors ({OMEGA_FLOOR}, {V_FLOOR}) at t={k * preset.dt:.2f} s; check the mean wind"
+            )
+        omega_k, cp_w[k], _, _, _ = drivetrain_step(
+            params, omega_k, v_k, u.torque, cp_nominal.at_pitch(u.pitch), deltas[k]
         )
         if not 0.0 <= omega_k <= omega_cap:
             raise NumericalError(

@@ -2,16 +2,18 @@
 
 State is the pair (rotor speed, wind speed).  The rotor integrates the
 imbalance between aerodynamic and generator torque; the wind component
-is a random walk whose deterministic part is the identity.  The same
-discrete step and analytic Jacobian are used by the simulator and by
-every Kalman filter, so model mismatch in experiments comes only from
-the power-coefficient mapping: a Cp surface plus an additive offset,
-which the plant takes per step from its true-Cp schedule and each
-filter's ``TurbineModel`` holds as its mode's offset.
+is a random walk whose deterministic part is the identity.  One formula,
+``drivetrain_step``, gives the discrete step and its analytic Jacobian
+to the simulator and to every Kalman filter, so model mismatch in
+experiments comes only from the power-coefficient mapping: a Cp surface
+plus an additive offset, which the plant takes per step from its
+true-Cp schedule and each filter's ``TurbineModel`` holds as its mode's
+offset.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +60,12 @@ class TurbineParameters:
         if self.dt > 0.1:
             raise ValueError("TurbineParameters.dt must be <= 0.1 s")
 
+    @functools.cached_property
+    def drivetrain(self) -> tuple[float, float, float]:
+        """(R, 0.5 rho pi R^2, dt/J), the constants of ``drivetrain_step``."""
+        k = 0.5 * self.air_density * math.pi * self.radius**2
+        return self.radius, k, self.dt / self.inertia
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -86,28 +94,30 @@ def _check_floors(omega: float, v: float) -> None:
         raise DomainError(f"wind speed {v} m/s is below the floor {V_FLOOR}")
 
 
-def _aero(
-    omega: float,
-    v: float,
-    pitch: float,
-    params: TurbineParameters,
-    cp: CpSurface,
-    offset: float = 0.0,
-) -> tuple[float, float]:
-    """(Cp, aerodynamic torque) at a state checked against the floors."""
-    _check_floors(omega, v)
-    cp_val = cp.evaluate(omega * params.radius / v, pitch, offset)
-    return cp_val, _torque(omega, v, cp_val, params)
+def drivetrain_step(
+    params: TurbineParameters, omega: float, v: float, torque: float, cp_at: CpAtPitch,
+    offset: float,
+) -> tuple[float, float, float, float, float]:
+    """(omega_next, Cp, tau_a, F00, F01) at a state (omega, v) on or above the floors.
 
-
-def _torque(omega: float, v: float, cp_val: float, params: TurbineParameters) -> float:
-    k = 0.5 * params.air_density * math.pi * params.radius**2
-    return k * cp_val * v**3 / omega
-
-
-def _euler(omega: float, tau_a: float, torque: float, params: TurbineParameters) -> float:
-    """The next rotor speed, raised to the floor."""
-    return max(omega + params.dt / params.inertia * (tau_a - torque), OMEGA_FLOOR)
+    Cp is one lookup of ``cp_at``, the surface at the step's pitch, under
+    ``offset``; tau_a = 0.5 rho pi R^2 Cp v^3 / omega; omega_next is the
+    explicit-Euler step omega + dt/J (tau_a - torque) raised to the floor;
+    (F00, F01) is the step's Jacobian's top row, using dCp/dlambda taken
+    before the value clamp; the wind passes through, so the bottom row is
+    (0, 1).  ``TurbineModel`` raises a filter state to the floors first;
+    ``aero_torque``, ``step_dynamics`` and ``jacobian_f`` raise DomainError.
+    """
+    radius, k, a = params.drivetrain
+    cp_val, dcp_dlam = cp_at.eval_with_dlam(omega * radius / v, offset)
+    v2 = v**2
+    kcv3 = k * cp_val * v**3
+    tau_a = kcv3 / omega
+    omega_next = omega + a * (tau_a - torque)
+    omega_next = OMEGA_FLOOR if OMEGA_FLOOR > omega_next else omega_next  # max(., OMEGA_FLOOR)
+    dtau_domega = k * v2 * radius * dcp_dlam / omega - kcv3 / omega**2
+    dtau_dv = 3.0 * k * cp_val * v2 / omega - k * radius * v * dcp_dlam
+    return omega_next, cp_val, tau_a, 1.0 + a * dtau_domega, a * dtau_dv
 
 
 def aero_torque(
@@ -120,28 +130,18 @@ def aero_torque(
 ) -> float:
     """Aerodynamic torque 0.5 rho pi R^2 Cp(lambda, theta) v^3 / omega,
     with ``offset`` added to the surface's Cp."""
-    return _aero(omega, v, pitch, params, cp, offset)[1]
+    _check_floors(omega, v)
+    return drivetrain_step(params, omega, v, 0.0, cp.at_pitch(pitch), offset)[2]
 
 
 def step_dynamics(
     x: StateVector, u: ControlInput, params: TurbineParameters, cp: CpSurface
 ) -> StateVector:
     """One explicit-Euler step of the drivetrain; wind passes through."""
-    return StateVector(_step_core(x.omega, x.v, u.pitch, u.torque, params, cp)[0], x.v)
-
-
-def _step_core(
-    omega: float,
-    v: float,
-    pitch: float,
-    torque: float,
-    params: TurbineParameters,
-    cp: CpSurface,
-    offset: float = 0.0,
-) -> tuple[float, float]:
-    """(next rotor speed, the Cp that drove the step)."""
-    cp_val, tau_a = _aero(omega, v, pitch, params, cp, offset)
-    return _euler(omega, tau_a, torque, params), cp_val
+    _check_floors(x.omega, x.v)
+    return StateVector(
+        drivetrain_step(params, x.omega, x.v, u.torque, cp.at_pitch(u.pitch), 0.0)[0], x.v
+    )
 
 
 def jacobian_f(
@@ -153,34 +153,11 @@ def jacobian_f(
     surface's dCp/dlambda (taken before the value clamp).
     """
     _check_floors(x.omega, x.v)
-    return _jacobian_core(x.omega, x.v, u.pitch, params, cp)
-
-
-def _jacobian_core(
-    omega: float, v: float, pitch: float, params: TurbineParameters, cp: CpSurface,
-    offset: float = 0.0,
-) -> np.ndarray:
-    cp_val, dcp_dlam = cp.at_pitch(pitch).eval_with_dlam(omega * params.radius / v, offset)
-    return np.array([_jacobian_row(omega, v, cp_val, dcp_dlam, params), (0.0, 1.0)])
-
-
-def _jacobian_row(
-    omega: float, v: float, cp_val: float, dcp_dlam: float, params: TurbineParameters
-) -> tuple[float, float]:
-    """The Jacobian's top row: d omega_next / d omega and d omega_next / d v."""
-    k = 0.5 * params.air_density * math.pi * params.radius**2
-    dtau_domega = k * v**2 * params.radius * dcp_dlam / omega - k * cp_val * v**3 / omega**2
-    dtau_dv = 3.0 * k * cp_val * v**2 / omega - k * params.radius * v * dcp_dlam
-    a = params.dt / params.inertia
-    return 1.0 + a * dtau_domega, a * dtau_dv
+    *_, f00, f01 = drivetrain_step(params, x.omega, x.v, u.torque, cp.at_pitch(u.pitch), 0.0)
+    return np.array(((f00, f01), (0.0, 1.0)))
 
 
 MEASUREMENT_JACOBIAN = np.array([[1.0, 0.0]])
-
-
-def _floored(x: np.ndarray) -> tuple[float, float]:
-    """A filter state's (omega, v) as floats raised to the domain floors."""
-    return max(float(x[0]), OMEGA_FLOOR), max(float(x[1]), V_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -199,45 +176,27 @@ class TurbineModel:
     offset: float = 0.0
 
     def f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
-        omega, v = _floored(x)
-        return np.array(
-            [_step_core(omega, v, u.pitch, u.torque, self.params, self.cp, self.offset)[0], v]
-        )
+        return np.array(self._f_and_jac_at(x, u)[:2])
 
     def jac_f(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
-        return _jacobian_core(*_floored(x), u.pitch, self.params, self.cp, self.offset)
+        return np.array((self._f_and_jac_at(x, u)[2:], (0.0, 1.0)))
 
-    def __post_init__(self) -> None:
-        p = self.params
-        # R, 0.5 rho pi R^2 and dt/J, formed as _torque, _euler and _jacobian_row form them
-        k = 0.5 * p.air_density * math.pi * p.radius**2
-        object.__setattr__(self, "_constants", (p.radius, k, p.dt / p.inertia))
+    def _f_and_jac_at(self, x: np.ndarray, u: ControlInput) -> tuple[float, float, float, float]:
+        return self.f_and_jac(float(x[0]), float(x[1]), u.torque, self.cp.at_pitch(u.pitch))
 
     def f_and_jac(
         self, x0: float, x1: float, torque: float, cp_at: CpAtPitch
     ) -> tuple[float, float, float, float]:
-        """``f`` and ``jac_f`` at the state (x0, x1) as floats, from one Cp lookup.
+        """``f`` and the top row of ``jac_f`` at the state (x0, x1), from one Cp lookup.
 
-        ``cp_at`` is ``cp.at_pitch(pitch)``.  Returns (f0, f1, F00, F01),
-        equal bit for bit to ``f(x, u)`` and the top row of ``jac_f(x, u)``
-        at u = (pitch, torque), whose helpers it inlines; F's bottom row
-        is always (0, 1).
+        ``cp_at`` is ``cp.at_pitch(pitch)``.  Returns (f0, f1, F00, F01)
+        at u = (pitch, torque): ``drivetrain_step`` at the state raised
+        to the floors.  F's bottom row is always (0, 1).
         """
-        omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0  # max(x0, OMEGA_FLOOR), as _floored
+        omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0  # max(x0, OMEGA_FLOOR)
         v = V_FLOOR if V_FLOOR > x1 else x1
-        radius, k, a = self._constants
-        cp_val, dcp_dlam = cp_at.eval_with_dlam(omega * radius / v, self.offset)
-        v2 = v**2
-        kcv3 = k * cp_val * v**3
-        omega_next = omega + a * (kcv3 / omega - torque)
-        dtau_domega = k * v2 * radius * dcp_dlam / omega - kcv3 / omega**2
-        dtau_dv = 3.0 * k * cp_val * v2 / omega - k * radius * v * dcp_dlam
-        return (
-            OMEGA_FLOOR if OMEGA_FLOOR > omega_next else omega_next,
-            v,
-            1.0 + a * dtau_domega,
-            a * dtau_dv,
-        )
+        f0, _, _, f00, f01 = drivetrain_step(self.params, omega, v, torque, cp_at, self.offset)
+        return f0, v, f00, f01
 
     def cp_at(self, x: np.ndarray, pitch: float) -> float:
         """This model's Cp at the filter state ``x``."""
@@ -249,7 +208,7 @@ class TurbineModel:
         place of this model's, from one lookup of ``cp_at`` (as in ``f_and_jac``)."""
         omega = OMEGA_FLOOR if OMEGA_FLOOR > x0 else x0
         v = V_FLOOR if V_FLOOR > x1 else x1
-        return cp_at.evaluate_offsets(omega * self._constants[0] / v, offsets)
+        return cp_at.evaluate_offsets(omega * self.params.radius / v, offsets)
 
     def h(self, x: np.ndarray, u: ControlInput) -> np.ndarray:
         return np.array([float(x[0])])

@@ -244,6 +244,18 @@ class TestCli:
         for name in ("summary.csv", "timeseries_1.csv", "hist_1.csv", "config_echo.txt"):
             assert (out / name).exists()
 
+    def test_run_starting_below_the_rotor_speed_floor_exits_2(self, tmp_path, capsys):
+        """v_op = 0.5 passes validation, but the plant starts below OMEGA_FLOOR:
+        every seed fails numerically and the run exits 2 with one line naming it."""
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, v_op=0.5, out_dir=str(tmp_path / "out"))
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: every seed failed: 1: state (rotor speed ")
+        assert "at t=0.00 s" in err
+
     def test_run_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path, out_dir=str(tmp_path / "ignored"))

@@ -168,6 +168,24 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="dCp/dlambda must be finite"):
             GridCpSurface([0.0, 1e-320, 2e-320], [0.0, 0.1], [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
 
+    def test_value_differences_past_a_double_are_rejected(self):
+        """Neighbouring values 1e308 and -1e308 differ by more than a double holds;
+        the grid is rejected, naming them, with no overflow warning (which the
+        test configuration makes an error) and no NaN lookup."""
+        values = [[0.0, 0.0], [1e308, 1e308], [-1e308, -1e308], [0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^grid values 1e\+308 and -1e\+308 at neighbouring "
+                                             r"nodes differ by more than a double holds$"):
+            GridCpSurface([0.0, 1.0, 2.0, 3.0], [0.0, 0.1], values)
+        with pytest.raises(ValueError, match=r"^grid values 1e\+308 and -1e\+308 "):
+            GridCpSurface([0.0, 1.0], [0.0, 0.1, 0.2], [[0.0, 1e308, -1e308], [0.0, 0.0, 0.0]])
+
+    def test_slope_differences_past_a_double_are_rejected(self):
+        """Finite values and finite nodal slopes 1e308 and -9e307, whose difference
+        a lookup would interpolate across, are rejected the same way."""
+        values = [[v, v] for v in (0.0, 0.5e308, 1e308, -0.4e308, 0.45e308)]
+        with pytest.raises(ValueError, match=r"^grid dCp/dlambda 1e\+308 and -9e\+307 at "):
+            GridCpSurface([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.1], values)
+
     def test_span_near_the_largest_double_interpolates(self):
         """Three nodes spanning 2e308 have finite spacing; the surface builds without
         a warning and interpolates bilinearly."""
@@ -200,6 +218,17 @@ class TestCsvRoundTrip:
         path.write_text(",0,5\n1,0.4,0.4\n2,oops,0.4\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-numeric"):
             GridCpSurface.from_csv(path)
+
+    def test_value_differences_past_a_double_name_the_file(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(",0,5\n0,0,0\n1,1e308,1e308\n2,-1e308,-1e308\n3,0,0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            GridCpSurface.from_csv(path)
+        assert str(info.value) == (
+            f"{path}: grid values 1e+308 and -1e+308 at neighbouring nodes differ by more "
+            f"than a double holds"
+        )
 
     def test_too_small_table(self, tmp_path):
         path = tmp_path / "tiny.csv"

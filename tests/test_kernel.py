@@ -370,6 +370,26 @@ class TestTurbineStructure:
             assert got != "NumericalError"
             assert got == outcome(ekf_cycle_general, *args)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=turbine_case())
+    def test_turbine_cycle_is_predict_then_update(
+        self, params, grid_surface, analytic_surface, case
+    ):
+        """``turbine_cycle`` returns what ``predict`` then ``update`` give a
+        turbine filter, bit for bit: the corrected state, z and S."""
+        surface = {"grid": grid_surface, "analytic": analytic_surface}[case[0]]
+        bank = bank_of(surface, params, case)
+        y, u = case[-2:]
+        q, r = bank.noise.q_entries, bank.noise.R.item()
+        for model, x, P in zip(bank.models, case[2], case[3]):
+            pred = predict(EstimatorState(np.array(x), np.array(P)), u, model, bank.noise)
+            state, report = update(pred, y, u, model, bank.noise)
+            got = ekf.turbine_cycle(
+                model, *x, np.ravel(P).tolist(), y, u.torque, surface.at_pitch(u.pitch), q, r
+            )
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too
+            assert repr(got) == repr((*state._floats, *report._floats))
+
     def test_failure_names_the_mode_and_its_offset(self, params, grid_surface):
         """A correction that overflows in one mode of the paper's bank: a huge
         residual times the large gain that mode 1's covariance gives its wind."""

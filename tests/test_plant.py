@@ -209,6 +209,16 @@ class TestSimulatePlant:
         with pytest.raises(NumericalError, match="rotor speed"):
             simulate_plant(p, sch, bad, grid_surface, 0.0)
 
+    def test_start_below_the_rotor_speed_floor_aborts_with_the_time(self, params, grid_surface):
+        """At a 0.5 m/s mean wind the optimal-lambda start lambda* v / R lies below
+        OMEGA_FLOOR: a NumericalError naming the time and the speed, not a
+        DomainError from the drivetrain."""
+        p = preset(v_op=0.5, duration=5.0)
+        sch = generate_cp_schedule("regime", 0.04, p.n_steps, p.dt, 1)
+        with pytest.raises(NumericalError, match=r"^state \(rotor speed 0\.04\d* rad/s, wind "
+                                                 r"speed .* is below the floors .* at t=0\.00 s"):
+            simulate_plant(p, sch, params, grid_surface, 0.0)
+
     def test_schedule_too_short_rejected(self, params, grid_surface):
         p = preset(duration=60.0)
         sch = generate_cp_schedule("regime", 0.04, 10, p.dt, 1)
