@@ -105,13 +105,19 @@ def main(argv: list[str] | None = None) -> int:
             ) from None
         if not deltas:
             raise ConfigError("--delta-cp-list is empty")
-        # every per-delta config is built (and so checked) before any run
+        # every per-delta directory and config is built (and so checked) before any run
+        dirs = {}
+        for delta in deltas:
+            name = f"delta_cp_{delta:g}"
+            if name in dirs:
+                raise ConfigError(
+                    f"--delta-cp-list values {dirs[name]!r} and {delta!r} would both write to {name}"
+                )
+            dirs[name] = delta
         base_out = Path(config.out_dir)
         sub_cfgs = [
-            dataclasses.replace(
-                config, delta_cp=delta, out_dir=str(base_out / f"delta_cp_{delta:g}")
-            )
-            for delta in deltas
+            dataclasses.replace(config, delta_cp=delta, out_dir=str(base_out / name))
+            for name, delta in dirs.items()
         ]
         status = 0
         for sub_cfg in sub_cfgs:

@@ -1,22 +1,19 @@
-"""Discrete-time extended Kalman filter over an abstract model.
+"""Discrete-time extended Kalman filter with two states and one measured channel.
 
 A model is any object with ``f(x, u)``, ``h(x, u)``, ``jac_f(x, u)`` and
-``jac_h(x, u)``; state dimension is inferred from the arrays, so the
-same code serves the 2-state turbine filters and the low-dimensional
-models used in tests.  Filter state is a value: ``predict`` and
-``update`` return new states and never mutate their inputs.
+``jac_h(x, u)``.  The paper's filters have two states and one measured
+channel, and that is the only shape: ``EstimatorState`` and
+``NoiseModel`` reject any other.  Filter state is a value: ``predict``
+and ``update`` return new states and never mutate their inputs.
 
-The paper's filters have two states and one measured channel.  That
-shape runs on a kernel over Python floats, where numpy's per-call
-overhead would outweigh the 2x2 arithmetic: a turbine filter on steps
-written out for the turbine's structure (``propagate_walk`` for
-F = [[f00, f01], [0, 1]], ``correct_first`` for H = (1, 0)), any other
-model on general 2x2 algebra (``transition2``, ``measurement2``,
-``propagate2``, ``correct2``); ``turbine_cycle`` is the turbine filter's
-whole cycle.  Every other shape runs on the batched numpy kernel
-(``propagate``, ``correct``).  The records the float kernel returns
-hold its floats and build their ndarray fields only when those are
-read (``float_backed``).
+The steps run over Python floats, where numpy's per-call overhead would
+outweigh the 2x2 arithmetic: a turbine filter on steps written out for
+the turbine's structure (``propagate_walk`` for F = [[f00, f01], [0, 1]],
+``correct_first`` for H = (1, 0)), any other model on general 2x2
+algebra (``transition2``, ``measurement2``, ``propagate2``,
+``correct2``); ``turbine_cycle`` is the turbine filter's whole cycle.
+The records the steps return hold their floats and build their ndarray
+fields only when those are read (``float_backed``).
 """
 
 from __future__ import annotations
@@ -81,26 +78,29 @@ def float_backed(**arrays):
 )
 @dataclass(frozen=True, eq=False)
 class EstimatorState:
-    """State estimate and its error covariance.
+    """State estimate x, shape (2,), and its error covariance P, shape (2, 2).
 
-    On the float kernel ``_floats`` is (x0, x1, P), P a row-major 4-tuple.
+    A state that ``predict`` or ``update`` returns holds ``_floats`` =
+    (x0, x1, P), P a row-major 4-tuple.
     """
 
     x: np.ndarray
     P: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float).reshape(-1)
+        x = np.asarray(self.x, dtype=float)
         P = np.asarray(self.P, dtype=float)
-        if P.shape != (x.size, x.size):
-            raise ValueError(f"covariance shape {P.shape} does not match state {x.size}")
+        if x.shape != (2,):
+            raise ValueError(f"state shape {x.shape} is not (2,)")
+        if P.shape != (2, 2):
+            raise ValueError(f"covariance shape {P.shape} is not (2, 2)")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "P", P)
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Process covariance Q and measurement covariance R."""
+    """Process covariance Q, 2x2, and measurement covariance R, 1x1."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -110,17 +110,16 @@ class NoiseModel:
         R = np.atleast_2d(np.array(self.R, dtype=float))
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
-        for name, M in (("Q", Q), ("R", R)):
-            if M.shape[0] != M.shape[1]:
-                raise ValueError(f"{name} must be square, got {M.shape}")
-            if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * (1 + np.abs(M).max())):
-                raise ValueError(f"{name} must be symmetric")
+        if Q.shape != (2, 2):
+            raise ValueError(f"Q shape {Q.shape} is not (2, 2)")
+        if R.shape != (1, 1):
+            raise ValueError(f"R shape {R.shape} is not (1, 1)")
+        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1 + np.abs(Q).max())):
+            raise ValueError("Q must be symmetric")
         if np.any(np.linalg.eigvalsh(Q) < -1e-10 * max(np.trace(Q), 1e-300)):
             raise ValueError("Q must be positive semidefinite")
-        try:
-            np.linalg.cholesky(R)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("R must be strictly positive definite") from exc
+        if not R.item() > 0.0:
+            raise ValueError("R must be strictly positive definite")
 
     @functools.cached_property
     def q_entries(self) -> tuple[float, ...]:
@@ -136,62 +135,11 @@ class NoiseModel:
 class UpdateReport:
     """Residual and innovation covariance from one measurement update.
 
-    On the float kernel ``_floats`` is (residual, S).
+    A report that ``update`` returns holds ``_floats`` = (residual, S).
     """
 
     residual: np.ndarray
     innovation_cov: np.ndarray
-
-
-@functools.cache  # np.eye(n) costs about as much as a small update's matrix products
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-def check_positive_definite(S: np.ndarray) -> None:
-    """Raise NumericalError unless S, or every matrix in a stack S, is positive definite."""
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"innovation covariance is not positive definite: S={S}") from exc
-
-
-def propagate(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Predicted covariance F P F' + Q, symmetrised; leading axes batch filters."""
-    P = F @ P @ F.mT + Q
-    return 0.5 * (P + P.mT)
-
-
-def correct(
-    x: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correction by residual z; returns (x, P, S); leading axes batch filters.
-
-    Raises NumericalError when an innovation covariance S is not positive definite.
-    """
-    S = H @ P @ H.mT + R
-    if S.shape[-1] == 1:
-        for s in S.ravel().tolist():
-            if not s > 0.0:
-                raise NumericalError(f"innovation covariance S={s} is not positive")
-        L = (P @ H.mT) / S
-        x = x + L[..., 0] * z
-    else:
-        check_positive_definite(S)
-        L = P @ H.mT @ np.linalg.inv(S)
-        x = x + (L @ z[..., None])[..., 0]
-    P = (_identity(x.shape[-1]) - L @ H) @ P
-    return x, 0.5 * (P + P.mT), S
-
-
-# -- two states, one measured channel: the kernel over Python floats ------
-
-
-def is_scalar2(x: np.ndarray, R: np.ndarray) -> bool:
-    """Whether a filter with state(s) x and measurement covariance R has the float kernel's shape."""
-    return x.shape[-1] == 2 and R.shape == (1, 1)
 
 
 def transition2(model, x0: float, x1: float, u) -> tuple[float, ...]:
@@ -325,49 +273,38 @@ def scalar_measurement(y) -> float:
 # -- value-style filter steps ---------------------------------------------
 
 
-# A single filter takes the float kernel, on the turbine's structure, for a
-# turbine model measuring one channel; a generic model's f, jac_f, h and
-# jac_h build arrays anyway, so a single filter on one keeps the numpy kernel.
-
-
-def _kernel_floats(state: EstimatorState, noise: NoiseModel):
-    """(x0, x1, P) of a turbine filter that runs on the float kernel, else None."""
-    if noise.R.shape != (1, 1):
-        return None
+def _state_floats(state: EstimatorState):
+    """(x0, x1, P) of a filter state, P a row-major 4-tuple."""
     floats = vars(state).get("_floats")
-    if floats is None and state.x.shape == (2,):  # a state built by its constructor
-        floats = (*state.x.tolist(), state.P.ravel().tolist())
+    if floats is None:  # a state built by its constructor
+        floats = (*state.x.tolist(), tuple(state.P.ravel().tolist()))
     return floats
 
 
 def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorState:
     """Time update: propagate the estimate through f and grow P."""
-    floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
-    if floats is not None:
-        x0, x1, P = floats
+    x0, x1, P = _state_floats(state)
+    if type(model) is TurbineModel:
         f0, f1, f00, f01 = model.f_and_jac(x0, x1, u.torque, model.cp.at_pitch(u.pitch))
-        return EstimatorState._of_floats((f0, f1, propagate_walk(P, f00, f01, noise.q_entries)))
-    x = state.x
-    F = model.jac_f(x, u)
-    x = np.asarray(model.f(x, u), dtype=float).reshape(-1)
-    return EstimatorState(x, propagate(F, state.P, noise.Q))
+        P = propagate_walk(P, f00, f01, noise.q_entries)
+    else:
+        f0, f1, *F = transition2(model, x0, x1, u)
+        P = propagate2(P, F, noise.q_entries)
+    return EstimatorState._of_floats((f0, f1, P))
 
 
 def update(
     state: EstimatorState, y, u, model, noise: NoiseModel
 ) -> tuple[EstimatorState, UpdateReport]:
-    """Measurement update; raises NumericalError when S is not positive
-    definite and, on the float kernel, when the corrected state or
-    covariance is not finite."""
-    floats = _kernel_floats(state, noise) if type(model) is TurbineModel else None
-    if floats is not None:
-        x0, x1, P = floats
-        z = scalar_measurement(y) - x0  # a turbine model measures its first state
+    """Measurement update; raises NumericalError when S is not positive or
+    the corrected state or covariance is not finite."""
+    x0, x1, P = _state_floats(state)
+    y = scalar_measurement(y)
+    if type(model) is TurbineModel:
+        z = y - x0  # a turbine model measures its first state
         x0, x1, P, S = correct_first(x0, x1, P, z, noise.R.item())
-        return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = state.x
-    H = model.jac_h(x, u)
-    z = y - np.asarray(model.h(x, u), dtype=float).reshape(-1)
-    x, P, S = correct(x, state.P, z, H, noise.R)
-    return EstimatorState(x, P), UpdateReport(z, S)
+    else:
+        h, h0, h1 = measurement2(model, x0, x1, u)
+        z = y - h
+        x0, x1, P, S = correct2(x0, x1, P, z, h0, h1, noise.R.item())
+    return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S))

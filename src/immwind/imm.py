@@ -7,6 +7,12 @@ probability-weighted output combination, and Markov-chain interaction
 filter's starting state for the next one, so the bank stored between
 calls always holds mixed states together with the predicted (prior)
 mode probabilities.
+
+Every filter has the EKF's one shape, two states and one measured
+channel, and ``imm_step`` runs a cycle over Python floats.  The public
+stage functions (``likelihood``, ``update_mode_probs``, ``combine``,
+``predict_mode_probs``, ``mixing_weights``, ``mix``) write the same
+stages over numpy for callers that take a cycle apart.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ MU_FLOOR = 1e-12  # keeps every mode alive and mixing denominators positive
 class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
 
-    The filters' states are stored stacked: ``x`` is (m, n) and ``P``
-    is (m, n, n), row j being filter j.  The constructor takes them as
+    The filters' states are stored stacked: ``x`` is (m, 2) and ``P``
+    is (m, 2, 2), row j being filter j.  The constructor takes them as
     per-filter ``states`` or as the stacked ``x`` and ``P`` (which is
     how ``dataclasses.replace`` passes them); either way the new bank
     is validated.  ``mu`` holds the prior mode probabilities for the
@@ -42,9 +48,9 @@ class ModeBank:
     cycles whose likelihoods all underflowed to zero (the probabilities
     are then carried through unchanged).
 
-    A bank that the float kernel returns holds ``_floats`` = (filters,
-    mu), with one (x0, x1, P) per filter, P a row-major 4-tuple, and
-    builds ``x``, ``P`` and ``mu`` when they are read.
+    A bank that ``imm_step`` returns holds ``_floats`` = (filters, mu),
+    with one (x0, x1, P) per filter, P a row-major 4-tuple, and builds
+    ``x``, ``P`` and ``mu`` when they are read.
     """
 
     models: tuple
@@ -95,10 +101,12 @@ class ModeBank:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"ModeBank.{name} must be finite, got {value}")
         m = len(self.models)
-        if m == 0 or len(x) != m or mu.size != m:
+        if m == 0 or mu.size != m:
             raise ValueError("models, states and mu must have matching length >= 1")
-        if x.ndim != 2 or self.P.shape != (m, x.shape[1], x.shape[1]):
-            raise ValueError(f"stacked x {x.shape} and P {self.P.shape} must be (m, n) and (m, n, n)")
+        if x.shape != (m, 2) or self.P.shape != (m, 2, 2):
+            raise ValueError(
+                f"stacked x {x.shape} and P {self.P.shape} must be ({m}, 2) and ({m}, 2, 2)"
+            )
         if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mode probabilities must lie on the simplex, got {mu}")
         if pi.shape != (m, m) or np.any(pi < 0.0):
@@ -113,16 +121,13 @@ class ModeBank:
         """Per-filter view of the stacked state, built on each access."""
         return tuple(map(ekf.EstimatorState, self.x, self.P))
 
-    def _advanced(self, underflowed: bool, **cycle) -> ModeBank:
-        """The next cycle's bank, derived from this validated one.
-
-        ``cycle`` holds the new filters and probabilities: the stacked
-        ``x``, ``P`` and ``mu``, or the float kernel's ``_floats``.
-        """
+    def _advanced(self, underflowed: bool, floats) -> ModeBank:
+        """The next cycle's bank, derived from this validated one, holding
+        ``floats`` = (filters, mu)."""
         new = object.__new__(ModeBank)
         vars(new).update(
             self._fixed, _fixed=self._fixed,
-            underflow_count=self.underflow_count + int(underflowed), **cycle,
+            underflow_count=self.underflow_count + int(underflowed), _floats=floats,
         )
         return new
 
@@ -156,8 +161,7 @@ def _shared_cp_base(models) -> tuple[TurbineModel, tuple[float, ...]] | None:
 class ImmOutput:
     """Combined estimate, covariance, posterior mode probabilities, Cp.
 
-    On the float kernel ``_floats`` is (x0, x1, P, mu), P a row-major
-    4-tuple and mu a list.
+    ``_floats`` is (x0, x1, P, mu), P a row-major 4-tuple and mu a list.
     """
 
     x: np.ndarray
@@ -167,22 +171,13 @@ class ImmOutput:
 
 
 def likelihood(z, S) -> float:
-    """Gaussian residual likelihood ((2 pi)^n det S)^(-1/2) exp(-z' S^-1 z / 2)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    if z.size == 1:
-        s = float(S[0, 0])
-        if not s > 0.0:
-            raise NumericalError(f"innovation covariance S={s} is not positive")
-        return _likelihood1(float(z[0]), s)
-    ekf.check_positive_definite(S)
-    det = float(np.linalg.det(S))
-    quad = float(z @ np.linalg.solve(S, z))
-    return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** z.size * det)
-
-
-def _likelihood1(z: float, s: float) -> float:
-    """The one-channel likelihood for S = s > 0; z * z overflows to inf where z ** 2 raises."""
+    """Gaussian likelihood (2 pi S)^(-1/2) exp(-z^2 / 2S) of a one-channel residual z,
+    each of z and S a float or a size-1 array."""
+    z = np.asarray(z, dtype=float).item()
+    s = np.asarray(S, dtype=float).item()
+    if not s > 0.0:
+        raise NumericalError(f"innovation covariance S={s} is not positive")
+    # z * z overflows to inf where z ** 2 raises
     return math.exp(-0.5 * z * z / s) / math.sqrt(2.0 * math.pi * s)
 
 
@@ -204,13 +199,13 @@ def update_mode_probs(mu: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
 
 
 def _stacked(states) -> tuple[np.ndarray, np.ndarray]:
-    """Per-filter states as stacked arrays x (m, n) and P (m, n, n)."""
+    """Per-filter states as stacked arrays x (m, 2) and P (m, 2, 2)."""
     states = tuple(states)
     return np.array([s.x for s in states]), np.array([s.P for s in states])
 
 
 def _mix_arrays(xs: np.ndarray, Ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xm = w.T @ xs  # (m, n), row j = mixed state of filter j
+    xm = w.T @ xs  # (m, 2), row j = mixed state of filter j
     d = xm[None, :, :] - xs[:, None, :]  # d[i, j] = x_mixed_j - x_i
     Pm = np.einsum("ij,ikl->jkl", w, Ps) + np.einsum("ij,ijk,ijl->jkl", w, d, d)
     return xm, 0.5 * (Pm + Pm.transpose(0, 2, 1))
@@ -297,13 +292,17 @@ def _mix2(w, posts) -> tuple[float, float, tuple[float, float, float, float]]:
     return x0, x1, (p00, p01, p01, p11)
 
 
-def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
-    """``imm_step`` for 2-state filters measuring one channel, over Python floats.
+def imm_step(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
+    """One full IMM cycle over Python floats; returns the next bank and the combined output.
 
-    The paper's bank, turbine filters on one base Cp map, runs each
-    filter on the turbine's structure and finds the pitch's place on
-    that map once per cycle, for the filters and the Cp estimate alike.
+    ``y`` is a float or a size-1 array.  The paper's bank, turbine
+    filters on one base Cp map, runs each filter on the turbine's
+    structure and finds the pitch's place on that map once per cycle,
+    for the filters and the Cp estimate alike; any other bank runs the
+    general 2x2 steps.  A failing filter raises NumericalError naming
+    its mode; the caller's bank value is untouched.
     """
+    y = ekf.scalar_measurement(y)
     Q = bank.noise.q_entries
     r = bank.noise.R.item()
     floats = vars(bank).get("_floats")
@@ -334,7 +333,7 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
         except NumericalError as exc:
             raise NumericalError(f"{bank._mode_name(j)}: {exc}") from exc
         posts.append((x0, x1, P))
-        weighted.append(mu[j] * (exp(-0.5 * z * z / S) / sqrt(two_pi * S)))  # _likelihood1 inline
+        weighted.append(mu[j] * (exp(-0.5 * z * z / S) / sqrt(two_pi * S)))  # likelihood inline
     # Bayes: floored posterior, or the prior carried over if every likelihood underflowed
     total = sum(weighted)
     underflow = not total > 0.0
@@ -374,43 +373,7 @@ def _imm_step2(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
             weights.append(w / total)
         mixed.append(_mix2(weights, posts))
     out = ImmOutput._of_floats((xc0, xc1, P_c, post), cp_estimate=cp_hat)
-    return bank._advanced(underflow, _floats=(mixed, prior)), out
-
-
-def imm_step(bank: ModeBank, y: float, u) -> tuple[ModeBank, ImmOutput]:
-    """One full IMM cycle; returns the next bank and the combined output.
-
-    ``y`` is a float or an array with one entry per measured channel.
-    Filters with two states and one measured channel run on the float
-    kernel, which names the failing mode in a NumericalError; other
-    shapes run on the batched numpy kernel.  On any filter failure the
-    exception propagates and the caller's bank value is untouched.
-    """
-    if "_floats" in vars(bank) or ekf.is_scalar2(bank.x, bank.noise.R):
-        return _imm_step2(bank, ekf.scalar_measurement(y), u)
-    return _imm_step_batched(bank, y, u)
-
-
-def _imm_step_batched(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
-    """``imm_step`` for any shape: every filter's model is evaluated on its
-    own, then the covariance algebra runs once over the stacked filters."""
-    models, m = bank.models, len(bank.models)
-    F = np.array([model.jac_f(xj, u) for model, xj in zip(models, bank.x)], dtype=float)
-    x = np.array([model.f(xj, u) for model, xj in zip(models, bank.x)], dtype=float).reshape(m, -1)
-    P = ekf.propagate(F, bank.P, bank.noise.Q)
-    H = np.array([model.jac_h(xj, u) for model, xj in zip(models, x)], dtype=float)
-    hx = np.array([model.h(xj, u) for model, xj in zip(models, x)], dtype=float).reshape(m, -1)
-    z = np.atleast_1d(np.asarray(y, dtype=float)) - hx
-    x, P, S = ekf.correct(x, P, z, H, bank.noise.R)
-    lams = np.array([likelihood(zj, Sj) for zj, Sj in zip(z, S)])
-    underflow = not float(np.dot(bank.mu, lams)) > 0.0
-    mu_post = update_mode_probs(bank.mu, lams)
-    x_c, P_c = _mix_arrays(x, P, mu_post[:, None])  # combination: one weight column
-    cp_hat = estimate_cp(bank, x_c[0], getattr(u, "pitch", 0.0), mu=mu_post)
-    mu_prior = predict_mode_probs(bank.transition, mu_post)
-    xm, Pm = _mix_arrays(x, P, mixing_weights(bank.transition, mu_post, mu_prior))
-    out = ImmOutput(x_c[0], P_c[0], mu_post, cp_hat)
-    return bank._advanced(underflow, x=xm, P=Pm, mu=mu_prior), out
+    return bank._advanced(underflow, (mixed, prior)), out
 
 
 def build_cp_mode_bank(

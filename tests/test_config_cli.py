@@ -420,3 +420,18 @@ class TestCliChecksEveryConfig:
         assert code == 1
         assert "delta_cp" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("deltas", ["0.04,0.04000001", "0.04,0.04"])
+    def test_sweep_rejects_offsets_sharing_a_directory_before_any_run(
+        self, tmp_path, capsys, deltas
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, out_dir=str(tmp_path / "sweep"))
+        code = main(["sweep", "--config", str(cfg_path), "--delta-cp-list", f"0.02,{deltas}"])
+        assert code == 1
+        first, second = deltas.split(",")
+        assert capsys.readouterr().err == (
+            f"config error: --delta-cp-list values {first} and {second} "
+            "would both write to delta_cp_0.04\n"
+        )
+        assert not (tmp_path / "sweep").exists()

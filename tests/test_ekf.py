@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from immwind import (
     ControlInput,
     EstimatorState,
     GridCpSurface,
+    ModeBank,
     NoiseModel,
     NumericalError,
     TurbineModel,
     predict,
     update,
 )
-from immwind.ekf import correct, propagate
 
 from conftest import LinearModel, random_psd
 
@@ -34,12 +32,12 @@ class TestPredict:
         np.testing.assert_array_equal(out.x, state.x)
 
     def test_scalar_hand_arithmetic(self):
-        # P=2, F=3, Q=1 -> P' = 3*2*3 + 1 = 19
-        model = LinearModel([[3.0]], [[1.0]])
-        noise = NoiseModel(Q=[[1.0]], R=[[1.0]])
-        out = predict(EstimatorState([1.0], [[2.0]]), None, model, noise)
-        assert out.P[0, 0] == pytest.approx(19.0, abs=1e-15)
-        assert out.x[0] == pytest.approx(3.0, abs=1e-15)
+        # F = diag(3, 2), P = diag(2, 5), Q = I -> P' = diag(3*2*3 + 1, 2*5*2 + 1) = diag(19, 21)
+        model = LinearModel(np.diag([3.0, 2.0]), [[1.0, 0.0]])
+        noise = NoiseModel(Q=np.eye(2), R=[[1.0]])
+        out = predict(EstimatorState([1.0, -4.0], np.diag([2.0, 5.0])), None, model, noise)
+        np.testing.assert_array_equal(out.P, np.diag([19.0, 21.0]))
+        np.testing.assert_array_equal(out.x, [3.0, -8.0])
 
     def test_wind_variance_grows_by_q22_without_coupling(self, params):
         # zero Cp surface decouples the wind from the rotor: F = I
@@ -77,10 +75,10 @@ class TestUpdate:
         assert out.x[0] == pytest.approx(1.0 + 0.5 * 0.2)  # gain 0.5 / 1.0
 
     def test_singular_innovation_raises_with_value(self):
-        model = LinearModel(np.eye(1), [[1.0]])
-        state = EstimatorState([1.0], [[0.0]])
+        model = LinearModel(np.eye(2), [[1.0, 0.0]])
+        state = EstimatorState([1.0, 2.0], np.diag([0.0, 1.0]))
         noise = NoiseModel.__new__(NoiseModel)  # bypass R > 0 validation
-        object.__setattr__(noise, "Q", np.zeros((1, 1)))
+        object.__setattr__(noise, "Q", np.zeros((2, 2)))
         object.__setattr__(noise, "R", np.zeros((1, 1)))
         with pytest.raises(NumericalError, match="S=0.0"):
             update(state, 1.0, None, model, noise)
@@ -150,77 +148,28 @@ class TestCovarianceHealth:
             assert eig_min_2x2(P) >= -1e-10 * max(np.trace(P), 1e-300)
 
 
-class TestMultiOutput:
-    def test_two_channel_update_matches_direct_formula(self):
-        H = np.array([[1.0, 0.0], [0.0, 1.0]])
-        model = LinearModel(np.eye(2), H)
-        R = np.diag([0.5, 2.0])
-        noise = NoiseModel(Q=np.zeros((2, 2)), R=R)
-        P = np.array([[1.0, 0.2], [0.2, 2.0]])
-        state = EstimatorState([1.0, -1.0], P)
-        y = np.array([1.3, -0.4])
-        out, rep = update(state, y, None, model, noise)
-        S = H @ P @ H.T + R
-        K = P @ H.T @ np.linalg.inv(S)
-        x_ref = state.x + K @ (y - H @ state.x)
-        P_ref = (np.eye(2) - K @ H) @ P
-        np.testing.assert_allclose(out.x, x_ref, rtol=1e-12)
-        np.testing.assert_allclose(out.P, 0.5 * (P_ref + P_ref.T), rtol=1e-12)
-        np.testing.assert_allclose(rep.innovation_cov, S, rtol=1e-12)
-
-    def test_two_channel_singular_innovation(self):
-        H = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicated row
-        model = LinearModel(np.eye(2), H)
-        noise = NoiseModel.__new__(NoiseModel)
-        object.__setattr__(noise, "Q", np.zeros((2, 2)))
-        object.__setattr__(noise, "R", np.zeros((2, 2)))
-        state = EstimatorState([1.0, 2.0], np.eye(2))
-        with pytest.raises(NumericalError, match="not positive definite"):
-            update(state, np.array([1.0, 1.0]), None, model, noise)
-
-
-class TestBatchedKernel:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        m=st.integers(1, 4),
-        n=st.integers(1, 3),
-        p=st.integers(1, 2),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_one_batched_call_equals_single_filter_calls(self, m, n, p, seed):
-        """A stack of m filters through the kernel == m predict/update calls, bit for bit."""
-        rng = np.random.default_rng(seed)
-        F = rng.normal(size=(m, n, n))
-        H = rng.normal(size=(m, p, n))
-        x = rng.normal(size=(m, n))
-        P = np.stack([random_psd(rng, n) for _ in range(m)])
-        noise = NoiseModel(Q=random_psd(rng, n, 0.1), R=random_psd(rng, p) + np.eye(p))
-        y = rng.normal(size=p)
-
-        models = [LinearModel(F[j], H[j]) for j in range(m)]
-        xp = np.array([model.f(xj, None) for model, xj in zip(models, x)])
-        Pp = propagate(F, P, noise.Q)
-        z = y - np.array([model.h(xj, None) for model, xj in zip(models, xp)])
-        xu, Pu, S = correct(xp, Pp, z, H, noise.R)
-        for j, model in enumerate(models):
-            pred = predict(EstimatorState(x[j], P[j]), None, model, noise)
-            post, rep = update(pred, y, None, model, noise)
-            np.testing.assert_array_equal(Pp[j], pred.P)
-            np.testing.assert_array_equal(xu[j], post.x)
-            np.testing.assert_array_equal(Pu[j], post.P)
-            np.testing.assert_array_equal(S[j], rep.innovation_cov)
-
-    def test_batched_scalar_failure_names_the_bad_value(self):
-        P = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
-        H = np.ones((3, 1, 1))
-        with pytest.raises(NumericalError, match="S=0.0"):
-            correct(np.zeros((3, 1)), P, np.zeros((3, 1)), H, np.zeros((1, 1)))
-
-
 class TestValidation:
     def test_covariance_shape_mismatch(self):
         with pytest.raises(ValueError, match="covariance shape"):
             EstimatorState([1.0, 2.0], np.eye(3))
+
+    def test_records_take_two_states_and_one_channel_only(self):
+        """Every other shape is rejected where the record is built, naming the shape."""
+        with pytest.raises(ValueError, match=r"state shape \(3,\) is not \(2,\)"):
+            EstimatorState([1.0, 2.0, 3.0], np.eye(3))
+        with pytest.raises(ValueError, match=r"state shape \(1, 2\) is not \(2,\)"):
+            EstimatorState([[1.0, 2.0]], np.eye(2))
+        with pytest.raises(ValueError, match=r"covariance shape \(1, 1\) is not \(2, 2\)"):
+            EstimatorState([1.0, 2.0], [[1.0]])
+        with pytest.raises(ValueError, match=r"Q shape \(1, 1\) is not \(2, 2\)"):
+            NoiseModel(Q=[[1.0]], R=[[1.0]])
+        with pytest.raises(ValueError, match=r"R shape \(2, 2\) is not \(1, 1\)"):
+            NoiseModel(Q=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match=r"stacked x \(2, 3\) and P \(2, 3, 3\) must be "
+                                             r"\(2, 2\) and \(2, 2, 2\)"):
+            ModeBank(models=(LinearModel(np.eye(3), [[1.0, 0.0, 0.0]]),) * 2,
+                     x=np.zeros((2, 3)), P=np.stack([np.eye(3)] * 2), mu=[0.5, 0.5],
+                     transition=np.eye(2), noise=NoiseModel(Q=np.eye(2), R=[[1.0]]))
 
     def test_q_must_be_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):

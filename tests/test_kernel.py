@@ -1,12 +1,13 @@
-"""The float kernel for 2-state, one-channel filters against the batched numpy path.
+"""The float kernel that ``imm_step``, ``predict`` and ``update`` run.
 
-``imm_step`` runs banks of this shape on the float kernel; the batched
-kernel (``imm._imm_step_batched``) is the reference.  The two evaluate
-the same formulas in a different order, so they agree to rounding:
-states and covariances normwise to RTOL of their scale, and mode
-probabilities to MU_ATOL.  A combined or mixed covariance holds spread
-terms d d' of states of size |x|, whose rounding is of order eps |x|^2,
-so covariances are compared at the scale max(|P|, |x|^2).
+The reference is ``straight_line_cycle`` below, an IMM cycle written as
+plain numpy loops from the models' ``f``/``jac_f``/``h``/``jac_h``
+alone.  The two evaluate the same formulas in a different order, so
+they agree to rounding: states and covariances normwise to RTOL of
+their scale, and mode probabilities to MU_ATOL.  A combined or mixed
+covariance holds spread terms d d' of states of size |x|, whose
+rounding is of order eps |x|^2, so covariances are compared at the
+scale max(|P|, |x|^2).
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from immwind import (
     symmetric_transition,
     update,
 )
-from immwind import ekf, imm
+from immwind import ekf
 from immwind.imm import MU_FLOOR
 
 from conftest import LinearModel, random_psd
@@ -44,6 +45,83 @@ def close(got, want, scale=0.0):
     want = np.asarray(want)
     scale = max(float(np.abs(want).max()), scale, 1e-300)
     assert float(np.abs(np.asarray(got) - want).max()) <= RTOL * scale
+
+
+def straight_line_cycle(bank, states, mu, y, u):
+    """One IMM cycle of ``bank``'s models, noise and transition matrix from
+    the per-mode ``states`` (x, P) and the prior ``mu``, as plain numpy: a
+    textbook EKF per mode, the floored Bayes update (the prior carried over
+    when every likelihood underflows), combination, Markov prediction, then
+    mixing.
+
+    Returns the output (x, P, mu_post, cp), the mixed states, the next
+    prior and whether every likelihood underflowed.  cp is the
+    posterior-weighted ``cp_at`` of turbine modes, else NaN.
+    """
+    models, Q, R, pi = bank.models, bank.noise.Q, bank.noise.R, bank.transition
+    m = len(models)
+    posts, lam = [], np.empty(m)
+    for j, (model, (x, P)) in enumerate(zip(models, states)):
+        F = np.asarray(model.jac_f(x, u), dtype=float)
+        xp = np.asarray(model.f(x, u), dtype=float).reshape(2)
+        Pp = F @ P @ F.T + Q
+        Pp = 0.5 * (Pp + Pp.T)
+        H = np.asarray(model.jac_h(xp, u), dtype=float).reshape(1, 2)
+        z = y - np.asarray(model.h(xp, u), dtype=float).reshape(1)
+        S = H @ Pp @ H.T + R
+        K = Pp @ H.T @ np.linalg.inv(S)
+        Pn = (np.eye(2) - K @ H) @ Pp
+        posts.append((xp + K @ z, 0.5 * (Pn + Pn.T)))
+        z, s = float(z[0]), float(S[0, 0])
+        lam[j] = math.exp(-0.5 * z * z / s) / math.sqrt(2.0 * math.pi * s)
+    weighted = mu * lam
+    underflow = not weighted.sum() > 0.0
+    if underflow:
+        post = mu.copy()
+    else:
+        post = np.maximum(weighted / weighted.sum(), MU_FLOOR)
+        post = post / post.sum()
+    xc = sum(post[j] * posts[j][0] for j in range(m))
+    Pc = sum(post[j] * (posts[j][1] + np.outer(posts[j][0] - xc, posts[j][0] - xc))
+             for j in range(m))
+    if all(isinstance(model, TurbineModel) for model in models):
+        cp = sum(post[j] * models[j].cp_at(xc, u.pitch) for j in range(m))
+    else:
+        cp = math.nan
+    prior = pi.T @ post
+    mixed = []
+    for j in range(m):
+        w = [pi[i, j] * post[i] / prior[j] for i in range(m)]
+        xm = sum(w[i] * posts[i][0] for i in range(m))
+        Pm = sum(w[i] * (posts[i][1] + np.outer(xm - posts[i][0], xm - posts[i][0]))
+                 for i in range(m))
+        mixed.append((xm, 0.5 * (Pm + Pm.T)))
+    return (xc, 0.5 * (Pc + Pc.T), post, cp), mixed, prior, underflow
+
+
+def check_against_straight_line(bank, ys, us):
+    """``imm_step`` and ``straight_line_cycle`` side by side over ``ys`` and
+    ``us``, each carrying its own filters: every cycle's output and next bank
+    agree.  Returns the last bank."""
+    fixed = bank
+    states, mu, underflows = list(zip(bank.x, bank.P)), bank.mu, 0
+    for y, u in zip(ys, us):
+        x_scale = max(abs(y), max(float(np.abs(x).max()) for x, _ in states))
+        bank, out = imm_step(bank, y, u)
+        (xc, Pc, post, cp), states, mu, underflow = straight_line_cycle(fixed, states, mu, y, u)
+        underflows += underflow
+        x_scale = max(x_scale, max(float(np.abs(x).max()) for x, _ in states))
+        close(out.x, xc, x_scale)
+        close(out.P, Pc, x_scale**2)
+        close(bank.x, [x for x, _ in states], x_scale)
+        close(bank.P, [P for _, P in states], x_scale**2)
+        np.testing.assert_allclose(out.mu, post, rtol=0, atol=MU_ATOL)
+        np.testing.assert_allclose(bank.mu, mu, rtol=0, atol=MU_ATOL)
+        assert bank.underflow_count == underflows
+        assert out.mu.min() >= MU_FLOOR * (1 - 1e-9) or bank.underflow_count
+        if not math.isnan(cp):
+            close(out.cp_estimate, cp)
+    return bank
 
 
 def random_bank(seed, m, singular, mu_at_floor):
@@ -71,7 +149,7 @@ def random_bank(seed, m, singular, mu_at_floor):
     )
 
 
-class TestFloatKernelMatchesBatched:
+class TestFloatKernelMatchesStraightLine:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -83,26 +161,15 @@ class TestFloatKernelMatchesBatched:
     @example(seed=1, m=3, singular=False, mu_at_floor=False, y_scale=1e9)  # all underflow
     @example(seed=2, m=3, singular=True, mu_at_floor=True, y_scale=1.0)
     def test_cycles_agree(self, seed, m, singular, mu_at_floor, y_scale):
-        fast = slow = random_bank(seed, m, singular, mu_at_floor)
         rng = np.random.default_rng(seed + 1)
         # one cycle for the all-underflow shock: after it the filters sit at
         # 1e9 with covariances so ill-conditioned that rounding dominates
-        for _ in range(1 if y_scale == 1e9 else 4):
-            y = y_scale * rng.normal()
-            x_scale = max(abs(y), float(np.abs(slow.x).max()))
-            fast, out_fast = imm_step(fast, y, None)
-            slow, out_slow = imm._imm_step_batched(slow, y, None)
-            x_scale = max(x_scale, float(np.abs(slow.x).max()))
-            close(out_fast.x, out_slow.x, x_scale)
-            close(out_fast.P, out_slow.P, x_scale**2)
-            close(fast.x, slow.x, x_scale)
-            close(fast.P, slow.P, x_scale**2)
-            np.testing.assert_allclose(out_fast.mu, out_slow.mu, rtol=0, atol=MU_ATOL)
-            np.testing.assert_allclose(fast.mu, slow.mu, rtol=0, atol=MU_ATOL)
-            assert fast.underflow_count == slow.underflow_count
-            assert out_fast.mu.min() >= MU_FLOOR * (1 - 1e-9) or fast.underflow_count
+        ys = (y_scale * rng.normal(size=1 if y_scale == 1e9 else 4)).tolist()
+        bank = check_against_straight_line(
+            random_bank(seed, m, singular, mu_at_floor), ys, [None] * len(ys)
+        )
         if y_scale == 1e9:
-            assert fast.underflow_count == 1
+            assert bank.underflow_count == 1
 
     def test_measurement_as_float_or_size_one_array(self):
         bank = random_bank(3, 3, False, False)
@@ -174,6 +241,9 @@ class TestFailureNamesTheMode:
             imm_step(bank, math.nan, ControlInput(0.0, 5e6))
         with pytest.raises(NumericalError, match="not finite"):
             update(EstimatorState(bank.x[0], bank.P[0]), math.nan, None, bank.models[0], bank.noise)
+        generic = LinearModel(np.eye(2), [[1.0, 0.0]])  # the general steps check alike
+        with pytest.raises(NumericalError, match="not finite"):
+            update(EstimatorState(bank.x[0], bank.P[0]), math.nan, None, generic, bank.noise)
 
     def test_generic_bank_names_the_index(self):
         bank = random_bank(5, 3, False, False)
@@ -406,27 +476,21 @@ class TestTurbineStructure:
                                                  r"x=\(.*, inf\)"):
             imm_step(bank, 1e306, ControlInput(0.0, 5e6))
 
-    def test_turbine_bank_on_different_surfaces_matches_batched(
+    def test_turbine_bank_on_two_surfaces_matches_straight_line(
         self, params, grid_surface, analytic_surface
     ):
         """Modes on different base maps take the general float kernel."""
         surfaces = (grid_surface, analytic_surface, grid_surface)
-        fast = slow = ModeBank(
+        bank = ModeBank(
             models=[TurbineModel(params, s, d) for s, d in zip(surfaces, (0.0, 0.0, 0.04))],
             states=[EstimatorState(np.array([0.72, 8.0]), np.diag([0.01, 4.0]))] * 3,
             mu=np.full(3, 1 / 3), transition=symmetric_transition(3, 0.99),
             noise=NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]]),
         )
-        assert fast._cp_base is None
-        for k in range(30):
-            u = ControlInput(0.02 + 0.01 * math.sin(k), 5e6)
-            y = 0.72 + 1e-3 * math.sin(0.4 * k)
-            fast, out_fast = imm_step(fast, y, u)
-            slow, out_slow = imm._imm_step_batched(slow, y, u)
-            close(out_fast.x, out_slow.x)
-            close(out_fast.P, out_slow.P, float(np.abs(slow.x).max()) ** 2)
-            close(fast.x, slow.x)
-            close(fast.P, slow.P, float(np.abs(slow.x).max()) ** 2)
-            np.testing.assert_allclose(out_fast.mu, out_slow.mu, rtol=0, atol=MU_ATOL)
-            np.testing.assert_allclose(fast.mu, slow.mu, rtol=0, atol=MU_ATOL)
-            close(out_fast.cp_estimate, out_slow.cp_estimate)
+        assert bank._cp_base is None
+        ks = range(30)
+        check_against_straight_line(
+            bank,
+            [0.72 + 1e-3 * math.sin(0.4 * k) for k in ks],
+            [ControlInput(0.02 + 0.01 * math.sin(k), 5e6) for k in ks],
+        )
