@@ -94,35 +94,41 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.config}: OK")
             return 0
         config = _apply_overrides(config, args)
-        if args.command == "run":
-            return _run_one(config)
-        # sweep
-        try:
-            deltas = [float(v) for v in args.delta_cp_list.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"--delta-cp-list must be comma-separated numbers, got {args.delta_cp_list!r}"
-            ) from None
-        if not deltas:
-            raise ConfigError("--delta-cp-list is empty")
-        # every per-delta directory and config is built (and so checked) before any run
-        dirs = {}
-        for delta in deltas:
-            name = f"delta_cp_{delta:g}"
-            if name in dirs:
+        configs = [config]
+        if args.command == "sweep":
+            try:
+                deltas = [float(v) for v in args.delta_cp_list.split(",") if v.strip()]
+            except ValueError:
                 raise ConfigError(
-                    f"--delta-cp-list values {dirs[name]!r} and {delta!r} would both write to {name}"
-                )
-            dirs[name] = delta
-        base_out = Path(config.out_dir)
-        sub_cfgs = [
-            dataclasses.replace(config, delta_cp=delta, out_dir=str(base_out / name))
-            for name, delta in dirs.items()
-        ]
+                    f"--delta-cp-list must be comma-separated numbers, got {args.delta_cp_list!r}"
+                ) from None
+            if not deltas:
+                raise ConfigError("--delta-cp-list is empty")
+            # every per-delta directory and config is built (and so checked) before any run
+            dirs = {}
+            for delta in deltas:
+                name = f"delta_cp_{delta:g}"
+                if name in dirs:
+                    raise ConfigError(
+                        f"--delta-cp-list values {dirs[name]!r} and {delta!r} "
+                        f"would both write to {name}"
+                    )
+                dirs[name] = delta
+            configs = [
+                dataclasses.replace(config, delta_cp=delta, out_dir=str(Path(config.out_dir, name)))
+                for name, delta in dirs.items()
+            ]
+        # every output directory is created before the first run
+        for cfg in configs:
+            try:
+                Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
         status = 0
-        for sub_cfg in sub_cfgs:
-            print(f"--- delta_cp = {sub_cfg.delta_cp:g} ---")
-            status = max(status, _run_one(sub_cfg))
+        for cfg in configs:
+            if args.command == "sweep":
+                print(f"--- delta_cp = {cfg.delta_cp:g} ---")
+            status = max(status, _run_one(cfg))
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -170,6 +170,8 @@ class ExperimentConfig:
             problems.append("dt must be in (0, 0.1] s")
         if len(self.seeds) < 1:
             problems.append("at least one seed is required")
+        elif min(self.seeds) < 0:
+            problems.append(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.schedule not in ("regime", "walk"):
             problems.append(f"schedule must be 'regime' or 'walk', got {self.schedule!r}")
         if not 0.0 < self.pi_stay <= 1.0:

@@ -12,8 +12,8 @@ the turbine's structure (``propagate_walk`` for F = [[f00, f01], [0, 1]],
 ``correct_first`` for H = (1, 0)), any other model on general 2x2
 algebra (``transition2``, ``measurement2``, ``propagate2``,
 ``correct2``); ``turbine_cycle`` is the turbine filter's whole cycle.
-The records the steps return hold their floats and build their ndarray
-fields only when those are read (``float_backed``).
+Every record holds only its floats, however it was made, and builds its
+ndarray fields, read-only, when they are first read (``float_backed``).
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ from .turbine import OMEGA_FLOOR, V_FLOOR, TurbineModel, drivetrain_step
 
 
 class _FromFloats:
-    """An ndarray field that a record made by the float kernel builds from
-    its floats when the field is first read, and then keeps.
-
-    A non-data descriptor: a record that holds the field itself, as one
-    built by its constructor does, never reaches it.
-    """
+    """An ndarray field that a record builds from its floats when the field
+    is first read, and then keeps, read-only, in its instance dict."""
 
     def __init__(self, name: str, build) -> None:
         self.name = name
@@ -50,12 +46,13 @@ class _FromFloats:
 
 
 def float_backed(**arrays):
-    """Class decorator, placed above ``@dataclass``, for the records the float kernel makes.
+    """Class decorator, placed above ``@dataclass``, for the records whose one
+    stored form is a tuple of floats, ``_floats``.
 
-    ``cls._of_floats(floats, **fields)`` makes a record that holds the
-    kernel's floats in ``_floats`` and the given other fields; each
-    field named in ``arrays`` is built by ``arrays[name](*floats)``
-    when first read, as a read-only array.
+    Each field named in ``arrays`` is built by ``arrays[name](*floats)``
+    when first read.  ``cls._of_floats(floats, **fields)`` makes a record
+    from the kernel's floats and the given other fields, unchecked; the
+    record's constructor checks its arguments and stores their floats.
     """
 
     def of_floats(cls, floats, **fields):
@@ -72,30 +69,36 @@ def float_backed(**arrays):
     return decorate
 
 
+def symmetric(M: np.ndarray) -> bool:
+    """Whether M equals its transpose to 1e-12 of 1 + its largest |entry|."""
+    return np.allclose(M, M.T, rtol=0.0, atol=1e-12 * (1 + np.abs(M).max()))
+
+
 @float_backed(
     x=lambda x0, x1, P: np.array((x0, x1)),
     P=lambda x0, x1, P: np.array(P).reshape(2, 2),
 )
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class EstimatorState:
     """State estimate x, shape (2,), and its error covariance P, shape (2, 2).
 
-    A state that ``predict`` or ``update`` returns holds ``_floats`` =
-    (x0, x1, P), P a row-major 4-tuple.
+    Holds ``_floats`` = (x0, x1, P), P a row-major 4-tuple.  A finite P
+    must be symmetric, as the filters read its upper off-diagonal entry.
     """
 
     x: np.ndarray
     P: np.ndarray
 
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        P = np.asarray(self.P, dtype=float)
+    def __init__(self, x, P) -> None:
+        x = np.asarray(x, dtype=float)
+        P = np.asarray(P, dtype=float)
         if x.shape != (2,):
             raise ValueError(f"state shape {x.shape} is not (2,)")
         if P.shape != (2, 2):
             raise ValueError(f"covariance shape {P.shape} is not (2, 2)")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", P)
+        if np.isfinite(P).all() and not symmetric(P):
+            raise ValueError(f"covariance P must be symmetric, got {P.tolist()}")
+        vars(self)["_floats"] = (*x.tolist(), tuple(P.ravel().tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +117,7 @@ class NoiseModel:
             raise ValueError(f"Q shape {Q.shape} is not (2, 2)")
         if R.shape != (1, 1):
             raise ValueError(f"R shape {R.shape} is not (1, 1)")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1 + np.abs(Q).max())):
+        if not symmetric(Q):
             raise ValueError("Q must be symmetric")
         if np.any(np.linalg.eigvalsh(Q) < -1e-10 * max(np.trace(Q), 1e-300)):
             raise ValueError("Q must be positive semidefinite")
@@ -131,15 +134,17 @@ class NoiseModel:
     residual=lambda z, S: np.array((z,)),
     innovation_cov=lambda z, S: np.array(((S,),)),
 )
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class UpdateReport:
-    """Residual and innovation covariance from one measurement update.
-
-    A report that ``update`` returns holds ``_floats`` = (residual, S).
-    """
+    """Residual and innovation covariance from one measurement update,
+    each given as a float or a size-1 array; holds ``_floats`` = (residual, S)."""
 
     residual: np.ndarray
     innovation_cov: np.ndarray
+
+    def __init__(self, residual, innovation_cov) -> None:
+        S = scalar(innovation_cov, "innovation covariance")
+        vars(self)["_floats"] = (scalar(residual, "residual"), S)
 
 
 def transition2(model, x0: float, x1: float, u) -> tuple[float, ...]:
@@ -260,30 +265,22 @@ def turbine_cycle(
     return x0, x1, P, z, S
 
 
-def scalar_measurement(y) -> float:
-    """A one-channel measurement given as a float or a size-1 array."""
-    if type(y) is float:
-        return y
-    y = np.asarray(y, dtype=float)
-    if y.size != 1:
-        raise ValueError(f"a one-channel filter takes one measurement, got {y.size}")
-    return y.item()
+def scalar(value, what: str = "measurement") -> float:
+    """A one-channel value (a measurement by default) given as a float or a size-1 array."""
+    if type(value) is float:
+        return value
+    value = np.asarray(value, dtype=float)
+    if value.size != 1:
+        raise ValueError(f"a one-channel filter takes one {what}, got {value.size}")
+    return value.item()
 
 
 # -- value-style filter steps ---------------------------------------------
 
 
-def _state_floats(state: EstimatorState):
-    """(x0, x1, P) of a filter state, P a row-major 4-tuple."""
-    floats = vars(state).get("_floats")
-    if floats is None:  # a state built by its constructor
-        floats = (*state.x.tolist(), tuple(state.P.ravel().tolist()))
-    return floats
-
-
 def predict(state: EstimatorState, u, model, noise: NoiseModel) -> EstimatorState:
     """Time update: propagate the estimate through f and grow P."""
-    x0, x1, P = _state_floats(state)
+    x0, x1, P = state._floats
     if type(model) is TurbineModel:
         f0, f1, f00, f01 = model.f_and_jac(x0, x1, u.torque, model.cp.at_pitch(u.pitch))
         P = propagate_walk(P, f00, f01, noise.q_entries)
@@ -298,8 +295,8 @@ def update(
 ) -> tuple[EstimatorState, UpdateReport]:
     """Measurement update; raises NumericalError when S is not positive or
     the corrected state or covariance is not finite."""
-    x0, x1, P = _state_floats(state)
-    y = scalar_measurement(y)
+    x0, x1, P = state._floats
+    y = scalar(y)
     if type(model) is TurbineModel:
         z = y - x0  # a turbine model measures its first state
         x0, x1, P, S = correct_first(x0, x1, P, z, noise.R.item())

@@ -11,8 +11,9 @@ mode probabilities.
 Every filter has the EKF's one shape, two states and one measured
 channel, and ``imm_step`` runs a cycle over Python floats.  The public
 stage functions (``likelihood``, ``update_mode_probs``, ``combine``,
-``predict_mode_probs``, ``mixing_weights``, ``mix``) write the same
-stages over numpy for callers that take a cycle apart.
+``predict_mode_probs``, ``mixing_weights``, ``mix``) are there for
+callers that take a cycle apart; ``combine`` and ``mix`` run the
+cycle's own mixing formula, ``_mix2``, on the states' floats.
 """
 
 from __future__ import annotations
@@ -39,18 +40,16 @@ MU_FLOOR = 1e-12  # keeps every mode alive and mixing denominators positive
 class ModeBank:
     """Parallel filters plus the Markov machinery tying them together.
 
-    The filters' states are stored stacked: ``x`` is (m, 2) and ``P``
-    is (m, 2, 2), row j being filter j.  The constructor takes them as
-    per-filter ``states`` or as the stacked ``x`` and ``P`` (which is
-    how ``dataclasses.replace`` passes them); either way the new bank
-    is validated.  ``mu`` holds the prior mode probabilities for the
-    next measurement.  ``underflow_count`` counts the
-    cycles whose likelihoods all underflowed to zero (the probabilities
-    are then carried through unchanged).
-
-    A bank that ``imm_step`` returns holds ``_floats`` = (filters, mu),
-    with one (x0, x1, P) per filter, P a row-major 4-tuple, and builds
-    ``x``, ``P`` and ``mu`` when they are read.
+    The bank holds ``_floats`` = (filters, mu), one (x0, x1, P) per
+    filter, P a row-major 4-tuple, and builds the stacked ``x`` (m, 2),
+    ``P`` (m, 2, 2) and ``mu`` when they are read, row j being filter
+    j.  The constructor takes the states as per-filter ``states`` or as
+    the stacked ``x`` and ``P`` (which is how ``dataclasses.replace``
+    passes them); either way the new bank is validated.  ``mu`` holds
+    the prior mode probabilities for the next measurement.
+    ``underflow_count`` counts the cycles whose likelihoods all
+    underflowed to zero (the probabilities are then carried through
+    unchanged).
     """
 
     models: tuple
@@ -67,14 +66,26 @@ class ModeBank:
     ):
         if mu is None or transition is None or noise is None:
             raise TypeError("ModeBank needs mu, transition and noise")
+        models = tuple(models)
+        m = len(models)
         if states is not None:
             if x is not None or P is not None:
                 raise TypeError("ModeBank takes per-filter states or stacked x and P, not both")
-            x, P = _stacked(states)
+            filters = [s._floats for s in states]
+            shapes = (len(filters), 2), (len(filters), 2, 2)
         elif x is None or P is None:
             raise TypeError("ModeBank needs per-filter states or stacked x and P")
-        models = tuple(models)
+        else:
+            x, P = np.asarray(x, dtype=float), np.asarray(P, dtype=float)
+            shapes = x.shape, P.shape
+        if shapes != ((m, 2), (m, 2, 2)):
+            raise ValueError(
+                f"stacked x {shapes[0]} and P {shapes[1]} must be ({m}, 2) and ({m}, 2, 2)"
+            )
+        if states is None:
+            filters = [(*xj, tuple(Pj)) for xj, Pj in zip(x.tolist(), P.reshape(m, 4).tolist())]
         transition = np.array(transition, dtype=float)
+        transition.setflags(write=False)
         # what every bank that imm_step derives from this one shares with it
         fixed = dict(
             models=models,
@@ -83,19 +94,14 @@ class ModeBank:
             _cp_base=_shared_cp_base(models),
             _columns=tuple(zip(*transition.tolist())),  # column j: pi_ij over i
         )
-        vars(self).update(
-            fixed,
-            _fixed=fixed,
-            x=np.array(x, dtype=float),
-            P=np.array(P, dtype=float),
-            mu=np.array(mu, dtype=float).reshape(-1),
-            underflow_count=underflow_count,
-        )
+        mu = np.asarray(mu, dtype=float).reshape(-1).tolist()
+        vars(self).update(fixed, _fixed=fixed, _floats=(filters, mu))
+        vars(self)["underflow_count"] = underflow_count
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Validate a caller-built bank; ``imm_step`` derives the next one unchecked."""
-        mu, pi, x = self.mu, self.transition, self.x
+        mu, pi = self.mu, self.transition
         for name in ("x", "P", "mu", "transition"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
@@ -103,10 +109,8 @@ class ModeBank:
         m = len(self.models)
         if m == 0 or mu.size != m:
             raise ValueError("models, states and mu must have matching length >= 1")
-        if x.shape != (m, 2) or self.P.shape != (m, 2, 2):
-            raise ValueError(
-                f"stacked x {x.shape} and P {self.P.shape} must be ({m}, 2) and ({m}, 2, 2)"
-            )
+        if not all(map(ekf.symmetric, self.P)):
+            raise ValueError(f"ModeBank.P must be symmetric, got {self.P}")
         if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mode probabilities must lie on the simplex, got {mu}")
         if pi.shape != (m, m) or np.any(pi < 0.0):
@@ -118,8 +122,8 @@ class ModeBank:
 
     @property
     def states(self) -> tuple[ekf.EstimatorState, ...]:
-        """Per-filter view of the stacked state, built on each access."""
-        return tuple(map(ekf.EstimatorState, self.x, self.P))
+        """Per-filter states, built on each access."""
+        return tuple(map(ekf.EstimatorState._of_floats, self._floats[0]))
 
     def _advanced(self, underflowed: bool, floats) -> ModeBank:
         """The next cycle's bank, derived from this validated one, holding
@@ -157,17 +161,22 @@ def _shared_cp_base(models) -> tuple[TurbineModel, tuple[float, ...]] | None:
     P=lambda x0, x1, P, mu: np.array(P).reshape(2, 2),
     mu=lambda x0, x1, P, mu: np.array(mu),
 )
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ImmOutput:
     """Combined estimate, covariance, posterior mode probabilities, Cp.
 
-    ``_floats`` is (x0, x1, P, mu), P a row-major 4-tuple and mu a list.
+    ``_floats`` is (x0, x1, P, mu), P a row-major 4-tuple and mu a list;
+    x and P are checked as ``EstimatorState`` checks them.
     """
 
     x: np.ndarray
     P: np.ndarray
     mu: np.ndarray
     cp_estimate: float
+
+    def __init__(self, x, P, mu, cp_estimate) -> None:
+        mu = np.asarray(mu, dtype=float).reshape(-1).tolist()
+        vars(self).update(_floats=(*ekf.EstimatorState(x, P)._floats, mu), cp_estimate=cp_estimate)
 
 
 def likelihood(z, S) -> float:
@@ -198,19 +207,6 @@ def update_mode_probs(mu: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
     return post / post.sum()
 
 
-def _stacked(states) -> tuple[np.ndarray, np.ndarray]:
-    """Per-filter states as stacked arrays x (m, 2) and P (m, 2, 2)."""
-    states = tuple(states)
-    return np.array([s.x for s in states]), np.array([s.P for s in states])
-
-
-def _mix_arrays(xs: np.ndarray, Ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xm = w.T @ xs  # (m, 2), row j = mixed state of filter j
-    d = xm[None, :, :] - xs[:, None, :]  # d[i, j] = x_mixed_j - x_i
-    Pm = np.einsum("ij,ikl->jkl", w, Ps) + np.einsum("ij,ijk,ijl->jkl", w, d, d)
-    return xm, 0.5 * (Pm + Pm.transpose(0, 2, 1))
-
-
 def combine(
     states: tuple[ekf.EstimatorState, ...] | list[ekf.EstimatorState], mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +214,8 @@ def combine(
 
     This is mixing with the single weight column ``mu``.
     """
-    x, P = _mix_arrays(*_stacked(states), np.asarray(mu, dtype=float)[:, None])
-    return x[0], P[0]
+    state = mix(states, np.asarray(mu, dtype=float)[:, None])[0]
+    return state.x, state.P
 
 
 def predict_mode_probs(transition: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -243,9 +239,13 @@ def mix(
     states: tuple[ekf.EstimatorState, ...] | list[ekf.EstimatorState],
     weights: np.ndarray,
 ) -> tuple[ekf.EstimatorState, ...]:
-    """Re-seed every filter with the weight-mixed state and covariance."""
-    xm, Pm = _mix_arrays(*_stacked(states), np.asarray(weights, dtype=float))
-    return tuple(map(ekf.EstimatorState, xm, Pm))
+    """Re-seed every filter with the weight-mixed state and covariance:
+    filter j's from column j of ``weights``, one row per state."""
+    posts = [s._floats for s in states]
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or len(w) != len(posts):
+        raise ValueError(f"weights of shape {w.shape} do not have one row per state ({len(posts)})")
+    return tuple(ekf.EstimatorState._of_floats(_mix2(c, posts)) for c in w.T.tolist())
 
 
 def estimate_cp(bank: ModeBank, x: np.ndarray, pitch: float, mu=None) -> float:
@@ -302,17 +302,10 @@ def imm_step(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
     general 2x2 steps.  A failing filter raises NumericalError naming
     its mode; the caller's bank value is untouched.
     """
-    y = ekf.scalar_measurement(y)
+    y = ekf.scalar(y)
     Q = bank.noise.q_entries
     r = bank.noise.R.item()
-    floats = vars(bank).get("_floats")
-    if floats is None:  # a bank built by its constructor
-        filters = [
-            (x0, x1, (*P0, *P1)) for (x0, x1), (P0, P1) in zip(bank.x.tolist(), bank.P.tolist())
-        ]
-        mu = bank.mu.tolist()
-    else:
-        filters, mu = floats
+    filters, mu = bank._floats
     shared = bank._cp_base
     if shared is not None:
         cp_model, offsets = shared

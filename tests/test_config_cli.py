@@ -115,6 +115,7 @@ class TestValidation:
             (dict(scenario="sideways"), "scenario"),
             (dict(turbulence_intensity=0.9), "turbulence_intensity"),
             (dict(seeds=()), "seed"),
+            (dict(seeds=(3, -1)), "seeds must be nonnegative, got -1"),
             (dict(schedule="sine"), "schedule"),
             (dict(pi_stay=1.5), "pi_stay"),
             (dict(mu0=(0.9, 0.2, 0.2)), "mu0"),
@@ -412,6 +413,35 @@ class TestCliChecksEveryConfig:
         assert load_config(out / "config_echo.txt").seeds == (5,)
         with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
             assert {row["n_seeds"] for row in csv.DictReader(fh)} == {"1"}
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        """A seed numpy cannot take is refused by validate, and by run before any run."""
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, out_dir=str(tmp_path / "out"))
+        good = cfg_path.read_text(encoding="utf-8")
+        cfg_path.write_text(_with_line(good, "seeds", "-1"), encoding="utf-8")
+        assert main(["validate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: seeds must be nonnegative, got -1\n"
+        cfg_path.write_text(good, encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: seeds must be nonnegative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-cp-list", "0.02,0.04"]])
+    def test_output_directory_that_cannot_be_made_exits_1_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        runs = []
+        monkeypatch.setattr("immwind.cli.run_experiment", runs.append)
+        cfg_path = tmp_path / "exp.cfg"
+        occupied = tmp_path / "taken"
+        occupied.write_text("", encoding="utf-8")
+        write_tiny_config(cfg_path, out_dir=str(occupied))
+        assert main([command[0], "--config", str(cfg_path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {occupied}")
+        assert len(err.splitlines()) == 1
+        assert runs == []
 
     def test_sweep_rejects_negative_delta_before_any_run(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -21,17 +21,21 @@ from hypothesis import strategies as st
 from immwind import (
     ControlInput,
     EstimatorState,
+    ImmOutput,
     ModeBank,
     NoiseModel,
     NumericalError,
     TurbineModel,
+    UpdateReport,
     build_cp_mode_bank,
+    combine,
     imm_step,
+    mix,
     predict,
     symmetric_transition,
     update,
 )
-from immwind import ekf
+from immwind import ekf, imm
 from immwind.imm import MU_FLOOR
 
 from conftest import LinearModel, random_psd
@@ -320,7 +324,7 @@ class TestFloatBackedRecords:
     def test_replace_on_a_kernel_made_bank(self, params, grid_surface):
         bank, _ = imm_step(turbine_bank(params, grid_surface), 0.7201, ControlInput(0.0, 5e6))
         copy = dataclasses.replace(bank)
-        assert "_floats" not in vars(copy)
+        assert repr(copy._floats) == repr(bank._floats)
         for name in ("x", "P", "mu", "transition"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(bank, name))
         assert copy.models == bank.models and copy.underflow_count == bank.underflow_count
@@ -330,6 +334,98 @@ class TestFloatBackedRecords:
         assert repr(out_a._floats) == repr(out_b._floats)
         moved = dataclasses.replace(bank, mu=[0.2, 0.3, 0.5])
         np.testing.assert_array_equal(moved.mu, [0.2, 0.3, 0.5])
+
+    def test_constructed_records_are_values_apart_from_the_caller_arrays(
+        self, params, grid_surface
+    ):
+        """A record built by its constructor holds the floats of the arrays it was
+        given: writing into those arrays later changes neither the record nor what
+        ``imm_step`` or ``predict``/``update`` compute from it, and the record's own
+        arrays are read-only."""
+        models = [TurbineModel(params, grid_surface, d) for d in (0.0, 0.04, -0.04)]
+        noise = NoiseModel(Q=np.diag([1e-8, 1e-2]), R=[[1e-8]])
+        x, P, mu = np.array([0.72, 8.0]), np.diag([0.01, 4.0]), np.full(3, 1 / 3)
+        pi = symmetric_transition(3, 0.99)
+        xs, Ps, states = np.tile(x, (3, 1)), np.stack([P] * 3), [EstimatorState(x, P)] * 3
+        residual, S = np.array([0.1]), np.array([[2.0]])
+        state = EstimatorState(x, P)
+        records = (
+            state,
+            UpdateReport(residual, S),
+            ImmOutput(x, P, mu, 0.4),
+            ModeBank(models, states, mu, pi, noise),
+            ModeBank(models, x=xs, P=Ps, mu=mu, transition=pi, noise=noise),
+        )
+        u = ControlInput(0.0, 5e6)
+
+        def computed():
+            model = models[0]
+            return (
+                [repr(record._floats) for record in records],
+                repr(update(predict(state, u, model, noise), 0.7201, u, model, noise)[0]._floats),
+                [repr(imm_cycle(bank, 0.7201, u)) for bank in records[3:]],
+            )
+
+        before = computed()
+        for array in (x, P, mu, pi, xs, Ps, residual, S):
+            array[...] = 30.0
+        assert computed() == before
+        for record in records:
+            for name in ("x", "P", "mu", "transition", "residual", "innovation_cov"):
+                array = getattr(record, name, None)
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 30.0
+        assert computed() == before
+
+    def test_a_state_count_other_than_the_model_count_is_rejected(self, params, grid_surface):
+        bank = turbine_bank(params, grid_surface)
+        rest = dict(mu=bank.mu, transition=bank.transition, noise=bank.noise)
+        for k in (2, 4):
+            states = (bank.states * 2)[:k]
+            match = rf"stacked x \({k}, 2\) and P \({k}, 2, 2\) must be \(3, 2\) and \(3, 2, 2\)"
+            with pytest.raises(ValueError, match=match):
+                ModeBank(bank.models, states, **rest)
+            with pytest.raises(ValueError, match=match):
+                ModeBank(bank.models, x=[s.x for s in states], P=[s.P for s in states], **rest)
+
+    def test_an_asymmetric_covariance_is_rejected(self, params, grid_surface):
+        """The filters read P's upper off-diagonal entry alone, so a P whose two
+        off-diagonal entries differ beyond rounding is refused where it is built."""
+        bank = turbine_bank(params, grid_surface)
+        rest = dict(mu=bank.mu, transition=bank.transition, noise=bank.noise)
+        lopsided = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^covariance P must be symmetric"):
+            EstimatorState([1.0, 2.0], lopsided)
+        with pytest.raises(ValueError, match=r"^covariance P must be symmetric"):
+            ImmOutput([1.0, 2.0], lopsided, [1.0], 0.4)
+        with pytest.raises(ValueError, match=r"^ModeBank\.P must be symmetric"):
+            ModeBank(bank.models, x=bank.x, P=[np.eye(2), lopsided, np.eye(2)], **rest)
+        rounded = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert EstimatorState([1.0, 2.0], rounded)._floats[2] == (1.0, 0.5, 0.5 + 1e-13, 1.0)
+        ModeBank(bank.models, x=bank.x, P=[rounded] * 3, **rest)
+        with_nan = EstimatorState([1.0, 2.0], [[math.nan, 0.5], [0.0, 1.0]])
+        assert with_nan._floats[2][1:] == (0.5, 0.0, 1.0)
+
+    def test_combine_and_mix_run_the_cycle_mixing_on_one_weight_row_per_state(
+        self, params, grid_surface
+    ):
+        bank, out = imm_step(turbine_bank(params, grid_surface), 0.7201, ControlInput(0.0, 5e6))
+        states, filters = bank.states, bank._floats[0]
+        w = np.array([[0.5, 0.2, 0.1], [0.3, 0.7, 0.1], [0.2, 0.1, 0.8]])
+        for j, mixed in enumerate(mix(states, w)):
+            assert repr(mixed._floats) == repr(imm._mix2(w[:, j].tolist(), filters))
+        x, P = combine(states, out.mu)
+        x0, x1, P4 = imm._mix2(out.mu.tolist(), filters)
+        assert x.tolist() == [x0, x1] and P.ravel().tolist() == list(P4)
+        with pytest.raises(ValueError, match="one row per state"):
+            combine(states, [0.5, 0.5])
+        with pytest.raises(ValueError, match="one row per state"):
+            combine(states, [0.25] * 4)
+        with pytest.raises(ValueError, match="one row per state"):
+            mix(states, np.eye(2))
+        with pytest.raises(ValueError, match="one row per state"):
+            mix(states, np.full((4, 3), 0.25))
 
 
 # -- the paper's bank on the turbine's structure ---------------------------
