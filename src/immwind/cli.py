@@ -1,6 +1,7 @@
 """Command-line interface: run, validate and sweep experiments.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (an output file that cannot be
+written included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def _apply_overrides(config, args):
 
 def _run_one(config) -> int:
     result = run_experiment(config)
-    written = write_outputs(result, config.out_dir)
+    try:
+        written = write_outputs(result, config.out_dir)
+    except OSError as exc:  # reported like an output directory that cannot be created
+        raise ConfigError(str(exc)) from None
     agg = result.aggregate
     print(f"scenario={config.scenario} seeds={len(config.seeds)} failed={agg.n_failed}")
     print(

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tables import write_numbers
+
 CP_CEILING = 0.593  # Betz limit
 
 _DEG_PER_RAD = 180.0 / math.pi
@@ -287,13 +289,10 @@ class GridCpSurface(CpSurface):
 
     def to_csv(self, path: str | Path) -> None:
         """Write the grid in the layout accepted by ``from_csv``."""
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + np.degrees(self.theta_axis).tolist())
-            writer.writerows(
-                [lam] + row
-                for lam, row in zip(self.lam_axis.tolist(), self.values.tolist())
-            )
+        write_numbers(
+            path, ["", *np.degrees(self.theta_axis).tolist()],
+            ([lam, *row] for lam, row in zip(self.lam_axis.tolist(), self.values.tolist())),
+        )
 
 
 def _check_node_differences(name: str, grid: np.ndarray) -> None:

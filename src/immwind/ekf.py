@@ -103,14 +103,17 @@ class EstimatorState:
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Process covariance Q, 2x2, and measurement covariance R, 1x1."""
+    """Process covariance Q, 2x2, and measurement covariance R, 1x1, each a
+    read-only copy, so the floats cached from them cannot drift."""
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        Q = np.atleast_2d(np.array(self.Q, dtype=float))
-        R = np.atleast_2d(np.array(self.R, dtype=float))
+        Q = np.array(np.atleast_2d(self.Q), dtype=float)  # a copy that owns its data
+        R = np.array(np.atleast_2d(self.R), dtype=float)
+        Q.setflags(write=False)
+        R.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         if Q.shape != (2, 2):
@@ -128,6 +131,11 @@ class NoiseModel:
     def q_entries(self) -> tuple[float, ...]:
         """Q's entries in row-major order, as floats."""
         return tuple(self.Q.ravel().tolist())
+
+    @functools.cached_property
+    def r(self) -> float:
+        """R's one entry, as a float."""
+        return self.R.item()
 
 
 @float_backed(
@@ -299,9 +307,9 @@ def update(
     y = scalar(y)
     if type(model) is TurbineModel:
         z = y - x0  # a turbine model measures its first state
-        x0, x1, P, S = correct_first(x0, x1, P, z, noise.R.item())
+        x0, x1, P, S = correct_first(x0, x1, P, z, noise.r)
     else:
         h, h0, h1 = measurement2(model, x0, x1, u)
         z = y - h
-        x0, x1, P, S = correct2(x0, x1, P, z, h0, h1, noise.R.item())
+        x0, x1, P, S = correct2(x0, x1, P, z, h0, h1, noise.r)
     return EstimatorState._of_floats((x0, x1, P)), UpdateReport._of_floats((z, S))

@@ -29,6 +29,7 @@ from .plant import (
     generate_cp_schedule,
     simulate_plant,
 )
+from .tables import write_numbers
 from .turbine import V_FLOOR, ControlInput, TurbineModel
 
 CP_REFERENCE_CUTOFF_HZ = 0.1
@@ -195,7 +196,7 @@ def _run_estimators(config: ExperimentConfig, seed: int) -> dict:
     # ekf.update take for a turbine model, its state held as (x0, x1, P) floats
     kf_x0, kf_x1 = x0.tolist()
     kf_P = P0.ravel().tolist()
-    q, r = noise.q_entries, noise.R.item()
+    q, r = noise.q_entries, noise.r
     kf_offset = (nominal.offset,)
 
     # the loop reads the input series as floats through memoryviews and appends
@@ -306,13 +307,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 _RESULT_FILE = re.compile(r"(timeseries|hist)_-?\d+\.csv|failed\.csv")
 
 
-def _write_table(path: Path, header: list[str], rows) -> Path:
-    """Write one CSV table; ``csv`` writes a float as ``str``, which is its ``repr``."""
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write one CSV table of text and numbers through ``csv``, which quotes
+    a cell that holds a comma; ``write_numbers`` writes a table of numbers."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
@@ -321,16 +322,26 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     Identical results produce byte-identical files.  Per-seed and
     failure files that an earlier result left in ``out_dir`` and that
     this result does not write are deleted; other files are left alone.
+    A file that cannot be written raises ``OSError`` naming it.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    written: list[Path] = []
+
+    def write(name: str, write_file, *args) -> None:
+        path = out / name
+        try:
+            write_file(path, *args)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        written.append(path)
 
     agg = result.aggregate
-    written = [_write_table(
-        out / "summary.csv",
+    write(
+        "summary.csv", _write_table,
         ["scenario", "estimator", "wind_mean_pct", "wind_std_pct", "cp_mean_pct",
          "cp_std_pct", "n_scored_wind", "n_excluded_wind", "n_scored_cp",
          "n_excluded_cp", "n_seeds", "n_failed"],
@@ -343,7 +354,7 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
                 ("kf", agg.kf_wind, agg.kf_cp),
             )
         ],
-    )]
+    )
 
     edges = result.hist_edges.tolist()
     for run in result.runs:
@@ -352,26 +363,23 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
             traj.t, traj.v_rews, run.v_imm, run.v_kf,
             traj.cp_true, run.cp_imm, run.cp_kf, run.mu,
         ))
-        written.append(_write_table(
-            out / f"timeseries_{run.seed}.csv",
+        write(
+            f"timeseries_{run.seed}.csv", write_numbers,
             ["t", "v_rews", "v_imm", "v_kf", "cp_true", "cp_imm", "cp_kf",
              "mu1", "mu2", "mu3"],
             # row by row: a whole-table tolist() holds every cell as a float object
             (row.tolist() for row in table),
-        ))
-        written.append(_write_table(
-            out / f"hist_{run.seed}.csv",
+        )
+        write(
+            f"hist_{run.seed}.csv", write_numbers,
             ["bin_left", "bin_right", "count_imm", "count_kf"],
             zip(edges[:-1], edges[1:], run.metrics.imm.wind_hist.tolist(),
                 run.metrics.kf.wind_hist.tolist()),
-        ))
+        )
 
     if result.failed:
-        written.append(_write_table(out / "failed.csv", ["seed", "error"], result.failed))
-
-    echo = out / "config_echo.txt"
-    echo.write_text(format_config(result.config), encoding="utf-8")
-    written.append(echo)
+        write("failed.csv", _write_table, ["seed", "error"], result.failed)
+    write("config_echo.txt", Path.write_text, format_config(result.config), "utf-8")
 
     names = {path.name for path in written}
     for path in out.iterdir():

@@ -304,7 +304,7 @@ def imm_step(bank: ModeBank, y, u) -> tuple[ModeBank, ImmOutput]:
     """
     y = ekf.scalar(y)
     Q = bank.noise.q_entries
-    r = bank.noise.R.item()
+    r = bank.noise.r
     filters, mu = bank._floats
     shared = bank._cp_base
     if shared is not None:

@@ -11,7 +11,6 @@ seeds.
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 
 from .cp import CpSurface
 from .errors import NumericalError
+from .tables import write_numbers
 from .turbine import (
     OMEGA_FLOOR,
     V_FLOOR,
@@ -275,10 +275,10 @@ class PlantTrajectory:
     def write_csv(self, path: str | Path) -> None:
         columns = (self.t, self.omega, self.v_rews, self.pitch, self.tau_g,
                    self.cp_true, self.y_meas)
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "omega", "v_rews", "pitch", "tau_g", "cp_true", "y_meas"])
-            writer.writerows(row.tolist() for row in np.column_stack(columns))
+        write_numbers(
+            path, ["t", "omega", "v_rews", "pitch", "tau_g", "cp_true", "y_meas"],
+            (row.tolist() for row in np.column_stack(columns)),
+        )
 
 
 def simulate_plant(

@@ -446,6 +446,16 @@ class TestCliChecksEveryConfig:
         assert len(err.splitlines()) == 1
         assert runs == []
 
+    def test_file_that_cannot_be_written_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path, out_dir=str(tmp_path / "out"))
+        blocked = tmp_path / "out" / "timeseries_1.csv"
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {blocked}: ")
+        assert len(err.splitlines()) == 1
+
     def test_sweep_rejects_negative_delta_before_any_run(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path, out_dir=str(tmp_path / "sweep"))

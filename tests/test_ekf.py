@@ -179,6 +179,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric"):
             NoiseModel(Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]])
 
+    def test_q_and_r_are_read_only_copies_next_to_their_cached_floats(self):
+        """The filters read Q's and R's cached floats, so the arrays cannot be written."""
+        Q, R = np.diag([1e-8, 0.01]), np.array([[0.25]])
+        noise = NoiseModel(Q=Q, R=R)
+        assert noise.q_entries == (1e-8, 0.0, 0.0, 0.01)
+        assert noise.r == noise.R.item() == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            noise.Q[1, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            noise.R[0, 0] = -1.0
+        assert noise.q_entries == (1e-8, 0.0, 0.0, 0.01)
+        assert noise.r == 0.25
+        Q[1, 1] = 5.0  # the caller's arrays stay its own and writable
+        assert noise.Q[1, 1] == 0.01
+
     def test_r_must_be_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             NoiseModel(Q=np.eye(2), R=[[0.0]])
